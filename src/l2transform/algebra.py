@@ -136,15 +136,28 @@ def multiply(e1: GExpr, e2: GExpr) -> GExpr:
 def evaluate(e: GExpr, x: float) -> float:
     """Floating-point value of e at x >= 0.
 
-    math.exp raises OverflowError when some a * x**2 leaves the double
-    exponent range; that is the documented overflow report.
+    The plain float sum runs first.  Only when one of its terms leaves the
+    double range (an OverflowError, or a sum that is not finite) is the sum
+    redone term-wise in log space, sign * exp(log|c| + 2k log x + a x^2),
+    so that OverflowError, the documented overflow report, is raised only
+    when the value itself leaves the double range.
     """
     if x < 0:
         raise ValueError("the algebra lives on [0, inf)")
-    total = 0.0
-    for t in e.terms:
-        total += float(t.c) * x ** (2 * t.k) * math.exp(float(t.a) * x * x)
-    return total
+    try:
+        total = 0.0
+        for t in e.terms:
+            total += float(t.c) * x ** (2 * t.k) * math.exp(float(t.a) * x * x)
+        if math.isfinite(total):
+            return total
+    except OverflowError:
+        pass
+    if x == 0:
+        return float(limit_at_zero(e))
+    logs = _term_logs(e, x)
+    top = max(logs)
+    scaled = math.fsum((1 if t.c > 0 else -1) * math.exp(v - top) for t, v in zip(e.terms, logs))
+    return math.copysign(math.exp(math.log(abs(scaled)) + top), scaled) if scaled else 0.0
 
 
 def delta_x(e: GExpr) -> GExpr:
@@ -179,9 +192,16 @@ def log_abs_envelope(e: GExpr, x: float) -> float:
         return -math.inf
     if x <= 0:
         raise ValueError("envelope is defined for x > 0")
-    logs = [
-        math.log(abs(float(t.c))) + 2 * t.k * math.log(x) + float(t.a) * x * x
-        for t in e.terms
-    ]
+    logs = _term_logs(e, x)
     top = max(logs)
     return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def _term_logs(e: GExpr, x: float) -> list[float]:
+    """log of |c| x^(2k) e^(a x^2) for every term at x > 0, also where c or
+    the term is beyond the double range."""
+    return [
+        math.log(abs(t.c.numerator)) - math.log(t.c.denominator)
+        + 2 * t.k * math.log(x) + float(t.a) * x * x
+        for t in e.terms
+    ]

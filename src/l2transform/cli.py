@@ -10,9 +10,7 @@ errors, 3 for numerical failures, 4 for impulse content.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from fractions import Fraction
 
 from . import convolution, growth, pde, quadrature, serialization
 from . import transform as tf
@@ -108,55 +106,41 @@ def _build_solution(args) -> pde.SeriesSolution:
     return pde.solve_family_d(ratio, depth)
 
 
+# per family: the key naming the t-power of profile n, and that power over n
+_POWER_KEYS = {
+    pde.Family.A: ("t_power", -2),
+    pde.Family.B: ("mm_power", 1),
+    pde.Family.C: ("hh_power", 1),
+}
+
+
 def _solution_terms(sol: pde.SeriesSolution) -> list:
     fam = sol.problem.family
-    if fam is pde.Family.A:
-        return [
-            {"n": n, "c": rational_to_string(c), "x_half_degree": n, "t_power": -2 * n}
-            for n, c in enumerate(sol.coeffs)
-        ]
-    if fam is pde.Family.B:
-        if sol.problem.convention is pde.Convention.DERIVED:
-            return [
-                {
-                    "n": n,
-                    "c": rational_to_string(Fraction(-1, 2) ** n / _fact(n) ** 2),
-                    "x_half_degree": n,
-                    "mm_power": n,
-                }
-                for n in range(sol.depth + 1)
-            ]
+    if fam is pde.Family.D:
+        return [{"form": "exp(-MM(t))"}]
+    key, per_order = _POWER_KEYS[fam]
+    if fam is pde.Family.B and sol.problem.convention is pde.Convention.PAPER_LITERAL:
         return [
             {
                 "p": p,
-                "mm_power": p,
+                key: per_order * p,
                 "monomials": [
-                    {
-                        "c": rational_to_string(Fraction(1, _fact(i) ** 2 * 2 ** i * _fact(p - i))),
-                        "x_half_degree": i,
-                    }
-                    for i in range(p + 1)
+                    {"c": rational_to_string(term.c), "x_half_degree": term.k}
+                    for term in profile.terms
                 ],
             }
-            for p in range(sol.depth + 1)
+            for p, profile in enumerate(sol.profiles)
         ]
-    if fam is pde.Family.C:
-        out = []
-        for n in range(1, sol.depth + 1):
-            (term,) = sol.star_part(n).terms
-            out.append({
-                "n": n,
-                "c": rational_to_string(Fraction(sol.sign) ** n * term.c / _fact(n)),
-                "x_half_degree": term.k,
-                "gauss_rate": rational_to_string(term.a),
-                "hh_power": n,
-            })
-        return out
-    return [{"form": "exp(-MM(t))"}]
-
-
-def _fact(n: int) -> int:
-    return math.factorial(n)
+    out = []
+    # family C's unit profile (n = 0) is retained content, not a listed term
+    for n in range(1 if fam is pde.Family.C else 0, len(sol.profiles)):
+        (term,) = sol.profiles[n].terms
+        entry = {"n": n, "c": rational_to_string(term.c), "x_half_degree": term.k}
+        if fam is pde.Family.C:
+            entry["gauss_rate"] = rational_to_string(term.a)
+        entry[key] = per_order * n
+        out.append(entry)
+    return out
 
 
 def _cmd_transform(args):
@@ -191,8 +175,7 @@ def _cmd_solve(args):
     if args.freeze_t is not None:
         t0 = rational_from_string(args.freeze_t, "--freeze-t")
         return object_to_document(pde.profile_gexpr(sol, t0))
-    ratio = getattr(sol, "ratio", None)
-    anti = getattr(sol, "anti", None)
+    ratio, anti = sol.ratio, sol.anti
     return {
         "kind": "solution",
         "family": sol.problem.family.value,

@@ -15,9 +15,10 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .algebra import GExpr, evaluate
+from .algebra import GExpr
+from .convolution import Evaluator, _as_callable
 from .errors import NonPositiveSampleError
 
 # Sampled-path decision thresholds on the fitted rate rho.  The regression
@@ -49,12 +50,6 @@ def classify_exact(e: GExpr) -> GrowthReport:
     )
 
 
-def _as_callable(f: Union[GExpr, Callable[[float], float]]) -> Callable[[float], float]:
-    if isinstance(f, GExpr):
-        return lambda x: evaluate(f, x)
-    return f
-
-
 def _check_samples(xs: Sequence[float]) -> list[float]:
     xs = [float(x) for x in xs]
     if len(xs) < 8:
@@ -64,8 +59,7 @@ def _check_samples(xs: Sequence[float]) -> list[float]:
     return xs
 
 
-def estimate_rate(f: Union[GExpr, Callable[[float], float]],
-                  x_samples: Sequence[float]) -> GrowthReport:
+def estimate_rate(f: Evaluator, x_samples: Sequence[float]) -> GrowthReport:
     """Least-squares slope rho of log f(x) against x^2 over the top half of
     the sample range, i.e. the rate in f ~ C e^(rho x^2).
 
@@ -102,8 +96,7 @@ def estimate_rate(f: Union[GExpr, Callable[[float], float]],
     )
 
 
-def check_bound(f: Union[GExpr, Callable[[float], float]],
-                g: Union[GExpr, Callable[[float], float]],
+def check_bound(f: Evaluator, g: Evaluator,
                 x_samples: Sequence[float]) -> bool:
     """True iff f(x) <= g(x) * (1 + 1e-12) at every sample."""
     xs = _check_samples(x_samples)

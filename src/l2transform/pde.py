@@ -1,7 +1,7 @@
 """Transform-method series solvers for four PDE families on x, t > 0,
 an exact-coefficient polynomial type for their t-dependent data, and a
 residual harness that evaluates each family's defining equation on a grid
-with exact term-wise derivatives, cross-checked by finite differences.
+with exact derivatives, cross-checked by finite differences.
 
 Families (u = u(x, t); all written with the ring derivation
 delta_x = (1/x) d/dx; coefficient data enters through the polynomial
@@ -11,6 +11,11 @@ ratio of the two t-coefficients so antiderivatives stay exact):
     B:  M(t) u + M(t) delta_x(u) + delta_x(u_t) = 0
     C:  H(t) u - u_t + delta_x(u_t) = 0
     D:  M(t) (u + delta_x(u)) + u_t + delta_x(u_t) = 0
+
+Every candidate is one `SeriesSolution`, the separable series
+u(x, t) = P(t) * sum_n tau(t)^n X_n(x) with exact x-profiles X_n, a time
+variable tau (MM or HH, the antiderivative of the ratio, or t^-2) and a
+prefactor P = exp(-MM) or 1; the family solvers only build that data.
 
 Families B and C each carry two sign conventions for the candidate series:
 `derived` (recomputed from the transform-domain ODE from scratch) and
@@ -27,11 +32,11 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import algebra
 from .algebra import GExpr, GTerm, RationalLike, as_rational
-from .convolution import EXP_HALF, star_power
+from .convolution import EXP_HALF, convolve_symbolic
 from .errors import GridDomainError
 
 FD_STEP = 1e-5
@@ -57,21 +62,11 @@ class LPoly:
         canon = tuple((d, c) for d, c in sorted(merged.items()) if c != 0)
         object.__setattr__(self, "coefficients", canon)
 
-    @classmethod
-    def from_dict(cls, mapping: Mapping[int, RationalLike]) -> "LPoly":
-        return cls(tuple((int(d), as_rational(c)) for d, c in mapping.items()))
-
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(self.coefficients)
-
     def __bool__(self) -> bool:
         return bool(self.coefficients)
 
     def __add__(self, other: "LPoly") -> "LPoly":
         return LPoly(self.coefficients + other.coefficients)
-
-    def __sub__(self, other: "LPoly") -> "LPoly":
-        return self + other.scale(-1)
 
     def __mul__(self, other: "LPoly") -> "LPoly":
         out = []
@@ -83,7 +78,7 @@ class LPoly:
     def __pow__(self, n: int) -> "LPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("LPoly powers must be nonnegative integers")
-        result = one_poly()
+        result = LPoly(((0, Fraction(1)),))
         for _ in range(n):
             result = result * self
         return result
@@ -111,16 +106,8 @@ class LPoly:
         return sum(abs(float(c)) * t_hi ** d for d, c in self.coefficients)
 
 
-def zero_poly() -> LPoly:
-    return LPoly()
-
-
-def one_poly() -> LPoly:
-    return LPoly(((0, Fraction(1)),))
-
-
 def lpoly(mapping: Mapping[int, RationalLike]) -> LPoly:
-    return LPoly.from_dict(mapping)
+    return LPoly(tuple((int(d), as_rational(c)) for d, c in mapping.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -170,82 +157,153 @@ class PDEProblem:
         return _EQUATIONS[self.family]
 
 
-class SeriesSolution:
-    """Truncated series candidate with exact term-wise derivatives.
+class TimeVariable(NamedTuple):
+    """tau(t) of a series: float value, float derivative, exact value."""
 
-    depth N means: term indices n = 0..N for families A and B, the unit
-    term plus n = 1..N for family C; family D is a single closed form.
-    Subclasses provide value / dt / dx / dxdt and the n-th term value, so
-    no numeric differentiation ever happens inside a solution.
+    value: Callable[[float], float]
+    derivative: Callable[[float], float]
+    exact: Callable[[Fraction], Fraction]
+
+
+def _inverse_square(t: Fraction) -> Fraction:
+    if t <= 0:
+        raise ValueError(f"tau = t^-2 needs t > 0, got t = {t}")
+    return 1 / t ** 2
+
+
+class _HornerTable:
+    """Float form of sum_n tau^n X_n(x) for exact profiles X_n, or with
+    `d_tau` of its tau-derivative sum_n n tau^(n-1) X_n(x).  Per Gaussian
+    rate a it is e^(a y) times a polynomial in tau, evaluated by Horner from
+    the highest power down, whose coefficients are polynomials in y = x^2,
+    evaluated by Horner with their lowest power factored out."""
+
+    def __init__(self, profiles: tuple[GExpr, ...], d_tau: bool):
+        by_rate: dict[float, dict[int, dict[int, float]]] = {}
+        for n, profile in enumerate(profiles):
+            if d_tau and n == 0:
+                continue  # d/dtau of tau^0
+            weight, power = (n, n - 1) if d_tau else (1, n)
+            for term in profile.terms:
+                row = by_rate.setdefault(float(term.a), {}).setdefault(power, {})
+                row[term.k] = row.get(term.k, 0.0) + weight * float(term.c)
+        # per rate: rows from the highest tau power down, each row
+        # (lowest y-power, coefficients from the highest y-power down)
+        self.rates = []
+        for a, rows in sorted(by_rate.items()):
+            table = []
+            for m in range(max(rows), -1, -1):
+                row = rows.get(m, {0: 0.0})
+                low = min(row)
+                table.append((low, tuple(row.get(k, 0.0) for k in range(max(row), low - 1, -1))))
+            self.rates.append((a, tuple(table)))
+
+    def __call__(self, y: float, tau: float) -> float:
+        total = 0.0
+        for a, rows in self.rates:
+            acc = 0.0
+            for low, coeffs in rows:
+                inner = 0.0
+                for c in coeffs:
+                    inner = inner * y + c
+                acc = inner * y ** low + tau * acc
+            total += acc * (math.exp(a * y) if a else 1.0)
+        return total
+
+
+def _orders(depth: int) -> range:
+    """The term orders 0..depth of a valid truncation depth."""
+    if not isinstance(depth, int) or depth < 1:
+        raise ValueError("truncation depth must be an integer >= 1")
+    return range(depth + 1)
+
+
+class SeriesSolution:
+    """Truncated separable series u(x, t) = P(t) * sum_n tau(t)^n * X_n(x).
+
+    `profiles` are the exact X_n (n = 0, 1, ...); `tau` defaults to MM, the
+    antiderivative of the problem's ratio M; P(t) = exp(-tau(t)) when
+    `prefactor` is set, else 1.  depth N means: term indices n = 0..N for
+    families A and B, the unit term plus n = 1..N for family C; family D
+    is a single closed form.  No numeric differentiation ever happens
+    inside a solution.
     """
 
-    def __init__(self, problem: PDEProblem, depth: int, metadata: dict):
-        if not isinstance(depth, int) or depth < 1:
-            raise ValueError("truncation depth must be an integer >= 1")
+    def __init__(self, problem: PDEProblem, depth: int, metadata: dict,
+                 profiles: Iterable[GExpr], tau: Optional[TimeVariable] = None,
+                 prefactor: bool = False):
+        _orders(depth)
         self.problem = problem
         self.depth = depth
         self.metadata = metadata
+        self.ratio = problem.ratio
+        self.anti = None if problem.ratio is None else problem.ratio.antiderivative()
+        self.profiles = tuple(profiles)
+        self.tau = tau or TimeVariable(
+            self.anti.evaluate, self.ratio.evaluate, self.anti.evaluate_exact)
+        self.prefactor = prefactor
+        slopes = tuple(algebra.delta_x(p) for p in self.profiles)
+        self._u, self._u_tau = _HornerTable(self.profiles, False), _HornerTable(self.profiles, True)
+        self._v, self._v_tau = _HornerTable(slopes, False), _HornerTable(slopes, True)
+
+    def _tau_p(self, t: float) -> tuple[float, float]:
+        """tau(t) and the prefactor P(t)."""
+        tau = self.tau.value(t)
+        return tau, math.exp(-tau) if self.prefactor else 1.0
 
     def value(self, x: float, t: float) -> float:
-        raise NotImplementedError
+        tau, p = self._tau_p(t)
+        return p * self._u(x * x, tau)
 
     def dt(self, x: float, t: float) -> float:
-        raise NotImplementedError
+        return self._d_dt(self._u, self._u_tau, x * x, t)
 
     def dx(self, x: float, t: float) -> float:
-        raise NotImplementedError
+        tau, p = self._tau_p(t)
+        return p * x * self._v(x * x, tau)
 
     def dxdt(self, x: float, t: float) -> float:
-        raise NotImplementedError
+        return x * self._d_dt(self._v, self._v_tau, x * x, t)
+
+    def _d_dt(self, table: _HornerTable, table_tau: _HornerTable, y: float, t: float) -> float:
+        """d/dt of P(t) table(y, tau(t)) = tau' P (table_tau - table) with
+        the prefactor P = exp(-tau), tau' table_tau without it."""
+        tau, p = self._tau_p(t)
+        s = table_tau(y, tau) - table(y, tau) if self.prefactor else table_tau(y, tau)
+        return p * self.tau.derivative(t) * s
 
     def term_value(self, n: int, x: float, t: float) -> float:
-        raise NotImplementedError
-
-
-class _SolutionA(SeriesSolution):
-    """u = sum_n (1/2)^n x^(2n) / (t^(2n) (n!)^2)."""
-
-    def __init__(self, depth: int):
-        problem = PDEProblem(Family.A)
-        meta = {
-            "side_condition": "series value at x -> 0+ is 1, not the stated 0",
-        }
-        super().__init__(problem, depth, meta)
-        self.coeffs = [
-            Fraction(1, 2) ** n / math.factorial(n) ** 2 for n in range(depth + 1)
-        ]
-        self._fc = [float(c) for c in self.coeffs]
-
-    def value(self, x, t):
-        return sum(c * x ** (2 * n) * t ** (-2 * n) for n, c in enumerate(self._fc))
-
-    def dt(self, x, t):
-        return sum(
-            c * -2 * n * x ** (2 * n) * t ** (-2 * n - 1)
-            for n, c in enumerate(self._fc) if n >= 1
-        )
-
-    def dx(self, x, t):
-        return sum(
-            c * 2 * n * x ** (2 * n - 1) * t ** (-2 * n)
-            for n, c in enumerate(self._fc) if n >= 1
-        )
-
-    def dxdt(self, x, t):
-        return sum(
-            c * -4 * n * n * x ** (2 * n - 1) * t ** (-2 * n - 1)
-            for n, c in enumerate(self._fc) if n >= 1
-        )
-
-    def term_value(self, n, x, t):
-        if n > self.depth:
+        if n >= len(self.profiles):
             return 0.0
-        return self._fc[n] * x ** (2 * n) * t ** (-2 * n)
+        tau, p = self._tau_p(t)
+        return p * tau ** n * algebra.evaluate(self.profiles[n], x)
+
+    def star_part(self, n: int) -> GExpr:
+        """Family C: the n-th convolution power of e^(x^2/2) (1 <= n <= depth),
+        which is profile n without its series weight sign^n / n!."""
+        if self.problem.family is not Family.C or not 1 <= n <= self.depth:
+            raise ValueError(f"star_part({n}) needs family C and 1 <= n <= depth")
+        sign = _C_SIGN[self.problem.convention]
+        return algebra.scale(self.profiles[n], sign ** n * math.factorial(n))
 
 
-class _SolutionB(SeriesSolution):
-    """Derived convention: u = exp(-MM(t)) sum_n (-MM/2)^n x^(2n) / (n!)^2,
-    with MM the antiderivative of the ratio M.
+_C_SIGN = {Convention.DERIVED: -1, Convention.PAPER_LITERAL: 1}  # family C: HH enters as sign * HH
+
+
+def solve_family_a(depth: int) -> SeriesSolution:
+    """u = sum_n (1/2)^n x^(2n) / (t^(2n) (n!)^2): tau = t^-2, P = 1."""
+    profiles = [algebra.monomial(Fraction(1, 2 ** n * math.factorial(n) ** 2), n)
+                for n in _orders(depth)]
+    meta = {"side_condition": "series value at x -> 0+ is 1, not the stated 0"}
+    tau = TimeVariable(lambda t: t ** -2, lambda t: -2 * t ** -3, _inverse_square)
+    return SeriesSolution(PDEProblem(Family.A), depth, meta, profiles, tau)
+
+
+def solve_family_b(ratio: LPoly, depth: int,
+                   convention: Convention = Convention.DERIVED) -> SeriesSolution:
+    """tau = MM, the antiderivative of the ratio M.
+
+    Derived convention: u = exp(-MM) sum_n (-MM/2)^n x^(2n) / (n!)^2.
 
     Literal convention: the sign-flipped variant, a product of two series
     stored merged by total order p so truncation increments stay single
@@ -253,231 +311,55 @@ class _SolutionB(SeriesSolution):
 
         u = sum_p MM^p sum_{i<=p} x^(2i) / ((i!)^2 2^i (p-i)!).
     """
-
-    def __init__(self, ratio: LPoly, depth: int, convention: Convention):
-        problem = PDEProblem(Family.B, ratio, convention)
-        super().__init__(problem, depth, {"convention": convention.value})
-        self.ratio = ratio
-        self.anti = ratio.antiderivative()
-        if convention is Convention.DERIVED:
-            self._inv = [
-                float(Fraction(1) / math.factorial(n) ** 2) for n in range(depth + 1)
-            ]
-        else:
-            self._rows = [
-                [
-                    float(Fraction(1, math.factorial(i) ** 2 * 2 ** i * math.factorial(p - i)))
-                    for i in range(p + 1)
-                ]
-                for p in range(depth + 1)
-            ]
-
-    def _derived(self) -> bool:
-        return self.problem.convention is Convention.DERIVED
-
-    def value(self, x, t):
-        mm = self.anti.evaluate(t)
-        if self._derived():
-            w = -mm / 2.0
-            s = sum(c * w ** n * x ** (2 * n) for n, c in enumerate(self._inv))
-            return math.exp(-mm) * s
-        return sum(
-            mm ** p * sum(c * x ** (2 * i) for i, c in enumerate(row))
-            for p, row in enumerate(self._rows)
-        )
-
-    def dt(self, x, t):
-        mm = self.anti.evaluate(t)
-        m = self.ratio.evaluate(t)
-        if self._derived():
-            w = -mm / 2.0
-            s = sum(c * w ** n * x ** (2 * n) for n, c in enumerate(self._inv))
-            sw = sum(
-                c * n * w ** (n - 1) * x ** (2 * n)
-                for n, c in enumerate(self._inv) if n >= 1
-            )
-            return math.exp(-mm) * (-m * s - (m / 2.0) * sw)
-        return sum(
-            p * mm ** (p - 1) * m * sum(c * x ** (2 * i) for i, c in enumerate(row))
-            for p, row in enumerate(self._rows) if p >= 1
-        )
-
-    def dx(self, x, t):
-        mm = self.anti.evaluate(t)
-        if self._derived():
-            w = -mm / 2.0
-            sx = sum(
-                c * w ** n * 2 * n * x ** (2 * n - 1)
-                for n, c in enumerate(self._inv) if n >= 1
-            )
-            return math.exp(-mm) * sx
-        return sum(
-            mm ** p * sum(c * 2 * i * x ** (2 * i - 1) for i, c in enumerate(row) if i >= 1)
-            for p, row in enumerate(self._rows)
-        )
-
-    def dxdt(self, x, t):
-        mm = self.anti.evaluate(t)
-        m = self.ratio.evaluate(t)
-        if self._derived():
-            w = -mm / 2.0
-            sx = sum(
-                c * w ** n * 2 * n * x ** (2 * n - 1)
-                for n, c in enumerate(self._inv) if n >= 1
-            )
-            sxw = sum(
-                c * n * w ** (n - 1) * 2 * n * x ** (2 * n - 1)
-                for n, c in enumerate(self._inv) if n >= 1
-            )
-            return math.exp(-mm) * (-m * sx - (m / 2.0) * sxw)
-        return sum(
-            p * mm ** (p - 1) * m
-            * sum(c * 2 * i * x ** (2 * i - 1) for i, c in enumerate(row) if i >= 1)
-            for p, row in enumerate(self._rows) if p >= 1
-        )
-
-    def term_value(self, n, x, t):
-        if n > self.depth:
-            return 0.0
-        mm = self.anti.evaluate(t)
-        if self._derived():
-            return math.exp(-mm) * self._inv[n] * (-mm / 2.0) ** n * x ** (2 * n)
-        row = self._rows[n]
-        return mm ** n * sum(c * x ** (2 * i) for i, c in enumerate(row))
+    f = math.factorial
+    derived = convention is Convention.DERIVED
+    if derived:
+        profiles = [algebra.monomial(Fraction(-1, 2) ** n / f(n) ** 2, n) for n in _orders(depth)]
+    else:
+        profiles = [
+            GExpr(tuple(GTerm(Fraction(1, f(i) ** 2 * 2 ** i * f(p - i)), i, Fraction(0))
+                        for i in range(p + 1)))
+            for p in _orders(depth)
+        ]
+    return SeriesSolution(PDEProblem(Family.B, ratio, convention), depth,
+                          {"convention": convention.value}, profiles, prefactor=derived)
 
 
-class _SolutionC(SeriesSolution):
+def solve_family_c(ratio: LPoly, depth: int,
+                   convention: Convention = Convention.DERIVED) -> SeriesSolution:
     """u = 1 + sum_{n>=1} (sign * HH)^n / n! * p_n(x), where p_n is the n-th
     convolution power of e^(x^2/2) (closed form x^(2n-2) e^(x^2/2) /
-    (2^(n-1) (n-1)!)) and HH is the antiderivative of the ratio H.
+    (2^(n-1) (n-1)!)) and HH is the antiderivative of the ratio H: tau = HH,
+    and profile n is sign^n p_n / n!.
 
     sign is -1 for the derived convention and +1 for the literal one.  The
     leading 1 is retained formal unit content (see `metadata`), so the
     exact inverse of the transform-domain candidate would not exist.
     """
-
-    def __init__(self, ratio: LPoly, depth: int, convention: Convention):
-        problem = PDEProblem(Family.C, ratio, convention)
-        meta = {
-            "convention": convention.value,
-            "has_impulse_content": True,
-            "side_condition": "series value at x -> 0+ is 1 + sign*HH(t), not the stated 0",
-            "unit_term_note": "the retained unit contributes H(t) to the residual",
-        }
-        super().__init__(problem, depth, meta)
-        self.ratio = ratio
-        self.anti = ratio.antiderivative()
-        self.sign = -1 if convention is Convention.DERIVED else 1
-        # x-profiles built through the convolution powers themselves, so the
-        # series/star-power consistency holds by construction.
-        self._parts = [star_power(EXP_HALF, n) for n in range(1, depth + 1)]
-        self._q = []
-        for n, part in enumerate(self._parts, start=1):
-            (term,) = part.terms
-            assert term.k == n - 1 and term.a == Fraction(1, 2)
-            self._q.append(float(term.c))
-        self._inv_fact = [float(Fraction(1, math.factorial(n))) for n in range(depth + 1)]
-
-    def star_part(self, n: int) -> GExpr:
-        """The n-th convolution-power profile (1 <= n <= depth)."""
-        return self._parts[n - 1]
-
-    def value(self, x, t):
-        hh = self.sign * self.anti.evaluate(t)
-        g = math.exp(x * x / 2.0)
-        total = 1.0
-        for n in range(1, self.depth + 1):
-            total += hh ** n * self._inv_fact[n] * self._q[n - 1] * x ** (2 * n - 2) * g
-        return total
-
-    def dt(self, x, t):
-        hh = self.sign * self.anti.evaluate(t)
-        hdot = self.sign * self.ratio.evaluate(t)
-        g = math.exp(x * x / 2.0)
-        total = 0.0
-        for n in range(1, self.depth + 1):
-            total += n * hh ** (n - 1) * hdot * self._inv_fact[n] \
-                * self._q[n - 1] * x ** (2 * n - 2) * g
-        return total
-
-    def _profile_dx(self, n: int, x: float, g: float) -> float:
-        # d/dx of x^(2n-2) e^(x^2/2)
-        out = x ** (2 * n - 1) * g
-        if n >= 2:
-            out += (2 * n - 2) * x ** (2 * n - 3) * g
-        return out
-
-    def dx(self, x, t):
-        hh = self.sign * self.anti.evaluate(t)
-        g = math.exp(x * x / 2.0)
-        total = 0.0
-        for n in range(1, self.depth + 1):
-            total += hh ** n * self._inv_fact[n] * self._q[n - 1] * self._profile_dx(n, x, g)
-        return total
-
-    def dxdt(self, x, t):
-        hh = self.sign * self.anti.evaluate(t)
-        hdot = self.sign * self.ratio.evaluate(t)
-        g = math.exp(x * x / 2.0)
-        total = 0.0
-        for n in range(1, self.depth + 1):
-            total += n * hh ** (n - 1) * hdot * self._inv_fact[n] \
-                * self._q[n - 1] * self._profile_dx(n, x, g)
-        return total
-
-    def term_value(self, n, x, t):
-        if n == 0:
-            return 1.0
-        if n > self.depth:
-            return 0.0
-        hh = self.sign * self.anti.evaluate(t)
-        return hh ** n * self._inv_fact[n] * self._q[n - 1] \
-            * x ** (2 * n - 2) * math.exp(x * x / 2.0)
-
-
-class _SolutionD(SeriesSolution):
-    """x-free closed form u(t) = exp(-MM(t)); satisfies M u + u_t = 0, hence
-    the family's equation with both delta_x terms vanishing."""
-
-    def __init__(self, ratio: LPoly, depth: int):
-        problem = PDEProblem(Family.D, ratio)
-        super().__init__(problem, depth, {"x_free": True})
-        self.ratio = ratio
-        self.anti = ratio.antiderivative()
-
-    def value(self, x, t):
-        return math.exp(-self.anti.evaluate(t))
-
-    def dt(self, x, t):
-        return -self.ratio.evaluate(t) * self.value(x, t)
-
-    def dx(self, x, t):
-        return 0.0
-
-    def dxdt(self, x, t):
-        return 0.0
-
-    def term_value(self, n, x, t):
-        return self.value(x, t) if n == 0 else 0.0
-
-
-def solve_family_a(depth: int) -> SeriesSolution:
-    return _SolutionA(depth)
-
-
-def solve_family_b(ratio: LPoly, depth: int,
-                   convention: Convention = Convention.DERIVED) -> SeriesSolution:
-    return _SolutionB(ratio, depth, convention)
-
-
-def solve_family_c(ratio: LPoly, depth: int,
-                   convention: Convention = Convention.DERIVED) -> SeriesSolution:
-    return _SolutionC(ratio, depth, convention)
+    meta = {
+        "convention": convention.value,
+        "has_impulse_content": True,
+        "side_condition": "series value at x -> 0+ is 1 + sign*HH(t), not the stated 0",
+        "unit_term_note": "the retained unit contributes H(t) to the residual",
+    }
+    # p_n = p_(n-1) * e^(x^2/2), one same-pole convolution per step, so the
+    # series/star-power consistency holds by construction.
+    sign = _C_SIGN[convention]
+    profiles, part = [algebra.constant(1)], EXP_HALF
+    for n in _orders(depth)[1:]:
+        if n > 1:
+            part = convolve_symbolic(part, EXP_HALF)
+        profiles.append(algebra.scale(part, Fraction(sign ** n, math.factorial(n))))
+    return SeriesSolution(PDEProblem(Family.C, ratio, convention), depth, meta, profiles)
 
 
 def solve_family_d(ratio: LPoly, depth: int = 1) -> SeriesSolution:
-    """depth is accepted for interface uniformity; the solution is closed form."""
-    return _SolutionD(ratio, depth)
+    """x-free closed form u(t) = exp(-MM(t)), the unit profile under the
+    prefactor; it satisfies M u + u_t = 0, hence the family's equation with
+    both delta_x terms vanishing.  depth is accepted for interface
+    uniformity."""
+    return SeriesSolution(PDEProblem(Family.D, ratio), depth, {"x_free": True},
+                          [algebra.constant(1)], prefactor=True)
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +385,15 @@ class ResidualReport:
 def default_grid(x_lo: float = 0.1, x_hi: float = 2.0, nx: int = 10,
                  t_lo: float = 0.5, t_hi: float = 2.0, nt: int = 10) -> list[GridPoint]:
     """Log-spaced grid over [x_lo, x_hi] x [t_lo, t_hi], excluding the
-    singular axes x = 0 and t = 0."""
+    singular axes x = 0 and t = 0: every bound must be > 0 (GridDomainError)
+    and both counts >= 1 (ValueError)."""
+    if min(x_lo, x_hi, t_lo, t_hi) <= 0:
+        raise GridDomainError(f"grid bounds must be > 0: [{x_lo}, {x_hi}] x [{t_lo}, {t_hi}]")
+    if nx < 1 or nt < 1:
+        raise ValueError(f"grid counts must be >= 1, got nx = {nx}, nt = {nt}")
+
     def logspace(lo: float, hi: float, n: int) -> list[float]:
-        if n == 1:
-            return [lo]
-        ratio = hi / lo
-        return [lo * ratio ** (i / (n - 1)) for i in range(n)]
+        return [lo * (hi / lo) ** (i / max(n - 1, 1)) for i in range(n)]
 
     return [(x, t) for x in logspace(x_lo, x_hi, nx) for t in logspace(t_lo, t_hi, nt)]
 
@@ -517,13 +402,11 @@ def _equation_residual(problem: PDEProblem, x: float, t: float,
                        u: float, ut: float, ux: float, uxt: float) -> float:
     if problem.family is Family.A:
         return t ** 3 * uxt + 2 * x * u
+    m = problem.ratio.evaluate(t)  # H for family C
     if problem.family is Family.B:
-        m = problem.ratio.evaluate(t)
         return m * (u + ux / x) + uxt / x
     if problem.family is Family.C:
-        h = problem.ratio.evaluate(t)
-        return h * u - ut + uxt / x
-    m = problem.ratio.evaluate(t)
+        return m * u - ut + uxt / x
     return m * (u + ux / x) + ut + uxt / x
 
 
@@ -531,7 +414,10 @@ def residual(problem: PDEProblem, solution: SeriesSolution,
              grid: Iterable[GridPoint]) -> ResidualReport:
     """Evaluate the family equation on the grid with the solution's exact
     derivatives, then recompute every point with central finite differences
-    of the solution values (step FD_STEP) as an independent cross-check."""
+    of the solution values (step FD_STEP) as an independent cross-check.
+
+    Every point needs x > FD_STEP and t > FD_STEP, so that the differences
+    stay inside the domain; other points raise GridDomainError."""
     if problem.family is not solution.problem.family:
         raise ValueError(
             f"problem family {problem.family.value} does not match "
@@ -539,8 +425,10 @@ def residual(problem: PDEProblem, solution: SeriesSolution,
         )
     pts = tuple((float(x), float(t)) for x, t in grid)
     for x, t in pts:
-        if x <= 0 or t <= 0:
-            raise GridDomainError(f"grid point ({x}, {t}) outside x > 0, t > 0")
+        if x <= FD_STEP or t <= FD_STEP:
+            raise GridDomainError(
+                f"grid point ({x}, {t}) outside x > {FD_STEP}, t > {FD_STEP}, "
+                "where the finite differences stay in the domain")
 
     h = FD_STEP
     exact = []
@@ -651,29 +539,19 @@ def truncation_bound(solution: SeriesSolution, x_max: float,
 
 
 def profile_gexpr(solution: SeriesSolution, t0: RationalLike) -> GExpr:
-    """The x-profile u(., t0) as an exact algebra element, for families whose
-    truncated series has rational coefficients at rational t0 (A and C).
-    Families B and D carry an exp prefactor that is not rational."""
-    t0 = as_rational(t0)
-    fam = solution.problem.family
-    if fam is Family.A:
-        if t0 <= 0:
-            raise ValueError("family A profiles need t0 > 0")
-        terms = [
-            GTerm(c * t0 ** (-2 * n), n, Fraction(0))
-            for n, c in enumerate(solution.coeffs)
-        ]
-        return GExpr(tuple(terms))
-    if fam is Family.C:
-        hh = Fraction(solution.sign) * solution.anti.evaluate_exact(t0)
-        out = algebra.constant(1)
-        for n in range(1, solution.depth + 1):
-            coef = hh ** n / math.factorial(n)
-            out = out + algebra.scale(solution.star_part(n), coef)
-        return out
-    raise ValueError(
-        f"family {fam.value} has a non-rational prefactor; no exact profile"
-    )
+    """The x-profile u(., t0) = sum_n tau(t0)^n X_n as an exact algebra
+    element.  Solutions with the prefactor exp(-Q(t)) (family B derived,
+    family D) have no rational profile and raise ValueError."""
+    if solution.prefactor:
+        raise ValueError(
+            f"family {solution.problem.family.value} has the non-rational "
+            "prefactor exp(-MM(t)); no exact profile"
+        )
+    tau = solution.tau.exact(as_rational(t0))
+    return GExpr(tuple(
+        GTerm(term.c * tau ** n, term.k, term.a)
+        for n, profile in enumerate(solution.profiles) for term in profile.terms
+    ))
 
 
 def family_b_transform_identity(ratio: LPoly, depth: int) -> bool:
@@ -692,8 +570,8 @@ def family_b_transform_identity(ratio: LPoly, depth: int) -> bool:
     # coefficient of sigma^(-j) in 2 sigma V_t + M V
     coeff: dict[int, LPoly] = {}
     for n in range(depth + 1):
-        coeff[n] = coeff.get(n, zero_poly()) + c[n].derivative().scale(2)
-        coeff[n + 1] = coeff.get(n + 1, zero_poly()) + ratio * c[n]
+        coeff[n] = coeff.get(n, LPoly()) + c[n].derivative().scale(2)
+        coeff[n + 1] = coeff.get(n + 1, LPoly()) + ratio * c[n]
     expected_boundary = (ratio * anti ** depth).scale(
         Fraction((-1) ** depth, math.factorial(depth) * 2 ** (depth + 1))
     )

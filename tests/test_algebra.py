@@ -91,6 +91,34 @@ class TestEvaluate:
         with pytest.raises(OverflowError):
             evaluate(e, 1e3)
 
+    def test_no_false_overflow(self):
+        # x^400 overflows a double at x = 1e3, the product with e^(-x^2)
+        # underflows to 0
+        assert evaluate(canonicalize([gterm(1, 200, -1)]), 1e3) == 0.0
+        # x^100 * 1e10 overflows silently to inf, times e^(-x^2) = 0 gives nan
+        assert evaluate(canonicalize([gterm(10 ** 10, 50, -1)]), 1e3) == 0.0
+        # an enormous coefficient at the origin is a true overflow
+        with pytest.raises(OverflowError):
+            evaluate(algebra.constant(10 ** 400), 0.0)
+
+    @pytest.mark.parametrize("terms, x", [
+        ([(1, 200, -1)], 25.0),                       # ~5.5e287
+        ([(3, 200, -1), (-2, 199, -1)], 25.0),        # two such terms, opposite signs
+        ([(F(1, 7), 150, F(-1, 2)), (5, 0, 0)], 40.0),
+    ])
+    def test_log_space_sum_matches_decimal(self, terms, x):
+        from decimal import Decimal, localcontext
+        e = canonicalize([gterm(c, k, a) for c, k, a in terms])
+        with pytest.raises(OverflowError):  # the plain float loop overflows here
+            sum(float(t.c) * x ** (2 * t.k) for t in e.terms)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            xd = Decimal(x)
+            exact = sum(Decimal(t.c.numerator) / t.c.denominator * xd ** (2 * t.k)
+                        * (Decimal(t.a.numerator) / t.a.denominator * xd * xd).exp()
+                        for t in e.terms)
+        assert evaluate(e, x) == pytest.approx(float(exact), rel=1e-11)
+
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             evaluate(canonicalize([gterm(1, 0, 0)]), -0.5)

@@ -4,6 +4,7 @@ stability across repeated runs."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ ONE = '{"kind":"gexpr","terms":[{"c":"1","k":0,"a":"0"}]}'
 EXP_HALF = '{"kind":"gexpr","terms":[{"c":"1","k":0,"a":"1/2"}]}'
 EXP_X2 = '{"kind":"gexpr","terms":[{"c":"1","k":0,"a":"1"}]}'
 RATIO_ONE = '{"kind":"lpoly","terms":[{"degree":0,"c":"1"}]}'
+RATIO_1_T3 = '{"kind":"lpoly","terms":[{"degree":0,"c":"1"},{"degree":1,"c":"1/3"}]}'
 CONST_SEXPR = '{"kind":"sexpr","terms":[{"c":"1/2","a":"0","m":0}]}'
 
 
@@ -22,7 +24,8 @@ CONST_SEXPR = '{"kind":"sexpr","terms":[{"c":"1/2","a":"0","m":0}]}'
 def files(tmp_path):
     paths = {}
     for name, doc in (("one", ONE), ("exp_half", EXP_HALF), ("exp_x2", EXP_X2),
-                      ("ratio_one", RATIO_ONE), ("const_sexpr", CONST_SEXPR)):
+                      ("ratio_one", RATIO_ONE), ("ratio_1_t3", RATIO_1_T3),
+                      ("const_sexpr", CONST_SEXPR)):
         p = tmp_path / f"{name}.json"
         p.write_text(doc)
         paths[name] = str(p)
@@ -112,6 +115,33 @@ class TestCommands:
         assert json.loads(out)["holds"] is False
 
 
+GOLDEN = Path(__file__).parent / "golden"
+# name of the recorded stdout in tests/golden -> l2t solve arguments; the
+# ratio is 1 + t/3 for every family that takes one
+SOLVE_GOLDEN = {
+    "solve_A": ["--family", "A", "--n", "6"],
+    "solve_B_derived": ["--family", "B", "--ratio", "*", "--n", "6", "--convention", "derived"],
+    "solve_B_paper": ["--family", "B", "--ratio", "*", "--n", "6", "--convention", "paper"],
+    "solve_C_derived": ["--family", "C", "--ratio", "*", "--n", "6", "--convention", "derived"],
+    "solve_C_paper": ["--family", "C", "--ratio", "*", "--n", "6", "--convention", "paper"],
+    "solve_D": ["--family", "D", "--ratio", "*", "--n", "6"],
+    "profile_A": ["--family", "A", "--n", "6", "--freeze-t", "1/2"],
+    "profile_C_derived": ["--family", "C", "--ratio", "*", "--n", "6",
+                          "--convention", "derived", "--freeze-t", "3/2"],
+    "profile_C_paper": ["--family", "C", "--ratio", "*", "--n", "6",
+                        "--convention", "paper", "--freeze-t", "3/2"],
+}
+
+
+class TestSolveGolden:
+    @pytest.mark.parametrize("name", sorted(SOLVE_GOLDEN))
+    def test_stdout_is_byte_identical_to_the_recording(self, name, files, capsys):
+        args = [files["ratio_1_t3"] if a == "*" else a for a in SOLVE_GOLDEN[name]]
+        code, out, _ = run_cli(["solve", *args], capsys)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.json").read_text()
+
+
 class TestExitCodes:
     def test_schema_error_is_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -131,6 +161,20 @@ class TestExitCodes:
     def test_usage_error_is_2(self, files, capsys):
         code, _, _ = run_cli(["solve", "--family", "B", "--n", "5"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("grid", [
+        "0.5,2,2,0,1,2",        # t bound 0: the log spacing would divide by it
+        "-1,2,2,0.5,1,2",       # negative x bound
+        "0.5,2,2,0.5,1,-3",     # no t points at all
+        "0.5,2,0,0.5,1,2",      # no x points at all
+        "1e-6,1,2,0.5,1,2",     # x within the finite-difference step of 0
+    ])
+    def test_bad_residual_grid_is_2(self, grid, files, capsys):
+        code, out, err = run_cli(
+            ["residual", "--family", "A", "--n", "5", "--grid", grid], capsys)
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert set(doc) == {"code", "message"} and doc["code"] == 2
 
     def test_divergent_integral_is_3(self, files, capsys):
         code, _, err = run_cli(["quad", files["exp_x2"], "--s", "1"], capsys)

@@ -244,6 +244,26 @@ class TestResidualHarness:
         with pytest.raises(GridDomainError):
             residual(sol.problem, sol, [(1.0, -0.5)])
 
+    def test_rejects_points_within_the_fd_step_of_the_axes(self):
+        # the central differences would evaluate the candidate at x - h or
+        # t - h, outside the quadrant
+        sol = solve_family_a(5)
+        for point in ((pde.FD_STEP, 1.0), (1.0, pde.FD_STEP / 2)):
+            with pytest.raises(GridDomainError):
+                residual(sol.problem, sol, [point])
+        rep = residual(sol.problem, sol, [(2 * pde.FD_STEP, 1.0)])
+        assert len(rep.exact) == 1
+
+    def test_default_grid_preconditions(self):
+        for bounds in ((0.0, 2.0, 0.5, 2.0), (0.1, 2.0, 0.0, 1.0), (-1.0, 2.0, 0.5, 2.0)):
+            x_lo, x_hi, t_lo, t_hi = bounds
+            with pytest.raises(GridDomainError):
+                default_grid(x_lo, x_hi, 2, t_lo, t_hi, 2)
+        for nx, nt in ((0, 2), (2, -3)):
+            with pytest.raises(ValueError):
+                default_grid(0.5, 2.0, nx, 0.5, 1.0, nt)
+        assert default_grid(0.5, 2.0, 1, 0.5, 1.0, 1) == [(0.5, 0.5)]
+
     def test_rejects_family_mismatch(self):
         with pytest.raises(ValueError):
             residual(pde.PDEProblem(Family.A), solve_family_d(M_ONE), GRID)
@@ -348,6 +368,22 @@ class TestProfiles:
         assert classify_exact(prof).exact_rate == F(1, 2)
         for x in (0.4, 1.0, 2.2):
             assert evaluate(prof, x) == pytest.approx(sol.value(x, 1.0), rel=1e-13)
+
+    def test_family_b_paper_profile(self):
+        # oracle: the coefficient of x^(2i) is
+        # sum_{i <= p <= N} MM^p / ((i!)^2 2^i (p-i)!), exactly
+        depth, t0 = 8, F(3, 2)
+        sol = solve_family_b(M_1PT, depth, Convention.PAPER_LITERAL)
+        prof = profile_gexpr(sol, t0)
+        mm = t0 + t0 ** 2 / 2
+        f = math.factorial
+        expected = algebra.zero()
+        for i in range(depth + 1):
+            c = sum(mm ** p / (f(i) ** 2 * 2 ** i * f(p - i)) for p in range(i, depth + 1))
+            expected = expected + algebra.monomial(c, i)
+        assert prof == expected
+        for x in (0.3, 1.0, 2.0):
+            assert evaluate(prof, x) == pytest.approx(sol.value(x, float(t0)), rel=1e-13)
 
     def test_profile_rejects_exponential_prefactor_families(self):
         with pytest.raises(ValueError):
