@@ -22,11 +22,13 @@ RationalLike = Union[Fraction, int, str]
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, strings like "3/4", and Fractions to Fraction.
+    """Coerce ints and strings like "3/4" to Fraction; a Fraction is returned as is.
 
     Floats are rejected: silently converting binary floats would smuggle
     rounding error into an algebra whose whole point is exactness.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("refusing to coerce float to exact rational; pass a Fraction, int, or 'p/q' string")
     return Fraction(value)

@@ -158,10 +158,7 @@ def _cmd_convolve(args):
 
 
 def _cmd_starpow(args):
-    f = _load_typed(args.f, "gexpr")
-    if args.n < 1:
-        raise _UsageError("--n must be >= 1")
-    return object_to_document(convolution.star_power(f, args.n))
+    return object_to_document(convolution.star_power(_load_typed(args.f, "gexpr"), args.n))
 
 
 def _cmd_quad(args):

@@ -39,9 +39,7 @@ def convolve_symbolic(f: GExpr, g: GExpr) -> GExpr:
 
 
 def star_power(f: GExpr, n: int) -> GExpr:
-    """n-fold convolution power of f, n >= 1."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"star power needs a positive integer, got {n!r}")
+    """n-fold convolution power of f; transform.power rejects n < 1 or non-integer n."""
     return transform.inverse(transform.power(transform.forward(f), n))
 
 

@@ -26,11 +26,11 @@ from .transform import SExpr, STerm
 
 Expression = Union[GExpr, SExpr, LPoly]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def rational_from_string(text: str, path: str = "$") -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(f"expected a rational string 'p' or 'p/q', got {text!r}", path)
     if "/" in text and int(text.split("/")[1]) == 0:
         raise SchemaError(f"zero denominator in {text!r}", path)

@@ -2,21 +2,22 @@
 rational expressions in sigma = s**2.
 
 The transform of c * x**(2k) * exp(a x^2) is c * k!/2 * (sigma - a)**-(k+1),
-valid on sigma > a, so every image is a proper rational function of sigma
-with rational poles.  Transform-domain expressions are finite sums of terms
+valid on sigma > a.  Transform-domain expressions are finite sums of terms
 c * (sigma - a)**(-m); the m = 0 case is a sigma-constant ("formal unit
 impulse" content), which arises from the derivation identity and has no
 function-valued inverse.
 
-All arithmetic here is exact.  Products are re-expressed in canonical
-partial-fraction form via residue-style Taylor-coefficient extraction at
-each pole, so coefficients stay rational with no tolerances anywhere.
+All arithmetic is exact.  Every product (convolution, star power, partial
+fractions) goes through :func:`_product`, which reads the principal part at
+each pole off the product of the factors' truncated Laurent series there.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -87,12 +88,9 @@ class SExpr:
         return all(t.m >= 1 for t in self.terms)
 
 
-def _combine_region(r1: Optional[Fraction], r2: Optional[Fraction]) -> Optional[Fraction]:
-    if r1 is None:
-        return r2
-    if r2 is None:
-        return r1
-    return max(r1, r2)
+def _region(exprs: Iterable[SExpr]) -> Optional[Fraction]:
+    """Max of the operands' regions; None when no operand has one."""
+    return max((s.region for s in exprs if s.region is not None), default=None)
 
 
 def constant(c: RationalLike) -> SExpr:
@@ -104,7 +102,7 @@ def pole(c: RationalLike, a: RationalLike, m: int) -> SExpr:
 
 
 def add(s1: SExpr, s2: SExpr) -> SExpr:
-    return SExpr(s1.terms + s2.terms, region=_combine_region(s1.region, s2.region))
+    return SExpr(s1.terms + s2.terms, region=_region((s1, s2)))
 
 
 def scale(s: SExpr, c: RationalLike) -> SExpr:
@@ -171,81 +169,82 @@ def mul_sigma(s: SExpr) -> SExpr:
     return SExpr(tuple(out), region=s.region)
 
 
-def _taylor_at_pole(
-    others: list[tuple[Fraction, int]], center: Fraction, order: int
-) -> list[Fraction]:
-    """Taylor coefficients, up to u**order, of prod (sigma - a)**(-m) about
-    sigma = center (u = sigma - center), for poles a != center.
-
-    Each factor expands as a binomial series in u/(center - a); factors are
-    multiplied as truncated exact power series.
+def _laurent_factor(s: SExpr, a: Fraction, shift: int, n: int) -> list:
+    """Taylor coefficients, up to u**(n-1), of u**shift * s(a + u), where
+    shift is at least s's highest multiplicity at a; zeros are int 0 (cheaper
+    to test and add than Fraction(0)).  Terms at a and sigma-constants shift
+    into place; c (sigma - b)**(-m) is c (u + d)**(-m) with d = a - b = p/q,
+    whose coefficient j is c (-1)**j C(m+j-1, j) q**(m+j) / p**(m+j).
     """
-    series = [Fraction(1)] + [Fraction(0)] * order
-    for a, m in others:
-        d = center - a
-        fac = [
-            Fraction((-1) ** j * math.comb(m + j - 1, j), 1) / d ** (m + j)
-            for j in range(order + 1)
-        ]
-        series = [
-            sum((series[i] * fac[j - i] for i in range(j + 1)), Fraction(0))
-            for j in range(order + 1)
-        ]
+    series = [0] * n
+    for t in s.terms:
+        if t.m and t.a != a:
+            d = a - t.a
+            num, den = t.c.numerator * d.denominator ** t.m, t.c.denominator * d.numerator ** t.m
+            for j in range(n - shift):
+                v = Fraction(num * math.comb(t.m + j - 1, j), den)
+                series[shift + j] = series[shift + j] + v if series[shift + j] else v
+                num, den = -num * d.denominator, den * d.numerator
+        elif shift - t.m < n:
+            k = shift - t.m
+            series[k] = series[k] + t.c if series[k] else t.c
     return series
 
 
-def partial_fractions(factors: Iterable[tuple[RationalLike, int]]) -> SExpr:
-    """Partial-fraction form of 1 / prod (sigma - a_i)**(m_i).
+def _truncated_product(p: list, q: list) -> list:
+    """Product of two power series to as many terms as p, skipping zeros."""
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q[:len(p) - i]):
+                if y:
+                    v = x * y
+                    out[i + j] = out[i + j] + v if out[i + j] else v
+    return out
 
-    Repeated poles in the input are grouped by total multiplicity.  The
-    coefficient of (sigma - a_i)**(-j) is the Taylor coefficient of order
-    m_i - j, about a_i, of the product of the remaining factors, so all
-    coefficients are exact rationals and recombination over the common
-    denominator reproduces the numerator 1 identically.
+
+def _product(factors: list[SExpr]) -> SExpr:
+    """Exact product of transform-domain expressions in canonical form.
+
+    At each pole a of total order N (the sum of the factors' highest
+    multiplicities M there), (sigma - a)**N times the product is the product
+    of the factors' series u**M s(a + u), u = sigma - a: its coefficient j is
+    that of (sigma - a)**(-(N - j)).  Constants multiply as they are.
     """
-    grouped: dict[Fraction, int] = {}
+    # terms are sorted by (a, m), so the last one at a has the highest m
+    orders = [{t.a: t.m for t in s.terms if t.m} for s in factors]
+    total: Counter[Fraction] = Counter()
+    for order in orders:
+        total.update(order)
+    const = math.prod(next((t.c for t in s.terms if t.m == 0), 0) for s in factors)
+    out = [STerm(const, 0, 0)] if const else []
+    for a, n in total.items():
+        series = reduce(_truncated_product, (_laurent_factor(s, a, order.get(a, 0), n)
+                                             for s, order in zip(factors, orders)))
+        out.extend(STerm(c, a, n - j) for j, c in enumerate(series) if c)
+    return SExpr(tuple(out), region=_region(factors))
+
+
+def partial_fractions(factors: Iterable[tuple[RationalLike, int]]) -> SExpr:
+    """Partial-fraction form of 1 / prod (sigma - a_i)**(m_i), repeats added."""
+    poles = []
     for a, m in factors:
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"factor multiplicity must be a positive integer, got {m!r}")
-        a = as_rational(a)
-        grouped[a] = grouped.get(a, 0) + m
-    if not grouped:
-        return constant(1)
-    out = []
-    for a, m in grouped.items():
-        others = [(b, n) for b, n in grouped.items() if b != a]
-        coeffs = _taylor_at_pole(others, a, m - 1)
-        for j in range(1, m + 1):
-            out.append(STerm(coeffs[m - j], a, j))
-    return SExpr(tuple(out))
+        poles.append(pole(1, a, m))
+    return _product(poles)
 
 
 def multiply(s1: SExpr, s2: SExpr) -> SExpr:
     """Exact product, re-expressed in canonical partial-fraction form."""
-    out: list[STerm] = []
-    for t1 in s1.terms:
-        for t2 in s2.terms:
-            c = t1.c * t2.c
-            if t1.m == 0:
-                out.append(STerm(c, t2.a, t2.m))
-            elif t2.m == 0:
-                out.append(STerm(c, t1.a, t1.m))
-            elif t1.a == t2.a:
-                out.append(STerm(c, t1.a, t1.m + t2.m))
-            else:
-                split = partial_fractions([(t1.a, t1.m), (t2.a, t2.m)])
-                out.extend(STerm(c * u.c, u.a, u.m) for u in split.terms)
-    return SExpr(tuple(out), region=_combine_region(s1.region, s2.region))
+    return _product([s1, s2])
 
 
 def power(s: SExpr, n: int) -> SExpr:
     """n-th product power, n >= 1."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"power expects a positive integer, got {n!r}")
-    out = s
-    for _ in range(n - 1):
-        out = multiply(out, s)
-    return out
+    return _product([s] * n)
 
 
 def evaluate_at(s: SExpr, sigma: float) -> float:

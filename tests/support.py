@@ -117,6 +117,18 @@ def rational_equal(s1: SExpr, s2: SExpr) -> bool:
     return poly_mul(n1, d2) == poly_mul(n2, d1)
 
 
+def equals_product(s: SExpr, factors: list[SExpr]) -> bool:
+    """True iff s equals the product of the factors as a rational function
+    (cross-multiplication against the product of their numerators and
+    denominators)."""
+    num, den = [Fraction(1)], [Fraction(1)]
+    for f in factors:
+        f_num, f_den = sexpr_as_rational(f)
+        num, den = poly_mul(num, f_num), poly_mul(den, f_den)
+    s_num, s_den = sexpr_as_rational(s)
+    return poly_mul(s_num, den) == poly_mul(num, s_den)
+
+
 def recombines_to_one(s: SExpr, factors: list[tuple[Fraction, int]]) -> bool:
     """True iff s equals 1 / prod (sigma - a)**m as a rational function."""
     num, den = sexpr_as_rational(s)

@@ -66,6 +66,13 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             GTerm(F(1), -1, F(0))
 
+    def test_as_rational_keeps_fractions_and_rejects_floats(self):
+        q = F(-3, 7)
+        assert algebra.as_rational(q) is q
+        assert algebra.as_rational("3/4") == F(3, 4) and algebra.as_rational(2) == F(2)
+        with pytest.raises(TypeError):
+            algebra.as_rational(0.5)
+
 
 class TestEvaluate:
     def test_constant(self):

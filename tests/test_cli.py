@@ -176,6 +176,22 @@ class TestExitCodes:
         doc = json.loads(err)
         assert set(doc) == {"code", "message"} and doc["code"] == 2
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_starpow_non_positive_n_is_2(self, n, files, capsys):
+        code, out, err = run_cli(["starpow", files["exp_half"], "--n", n], capsys)
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert set(doc) == {"code", "message"} and doc["code"] == 2
+
+    @pytest.mark.parametrize("text", ["1\n", "\u0661\u0662"])
+    def test_rational_outside_the_grammar_is_2(self, text, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"kind": "gexpr", "terms": [{"c": text, "k": 0, "a": "0"}]}))
+        code, out, err = run_cli(["transform", str(p)], capsys)
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert set(doc) == {"code", "message"} and "$.terms[0].c" in doc["message"]
+
     def test_divergent_integral_is_3(self, files, capsys):
         code, _, err = run_cli(["quad", files["exp_x2"], "--s", "1"], capsys)
         assert code == 3

@@ -1,5 +1,6 @@
 """Document round trips and schema diagnostics."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -97,6 +98,14 @@ class TestRationalStrings:
     def test_rejects_whitespace(self):
         with pytest.raises(SchemaError):
             rational_from_string(" 1/2")
+
+    # a trailing newline, and Arabic-Indic digits (which int() would accept)
+    @pytest.mark.parametrize("text", ["1\n", "\u0661\u0662", "1/2\n", "\u0661/2"])
+    def test_only_the_documented_grammar_parses(self, text):
+        doc = json.dumps({"kind": "gexpr", "terms": [{"c": "1", "k": 0, "a": text}]})
+        with pytest.raises(SchemaError) as exc:
+            loads(doc)
+        assert exc.value.path == "$.terms[0].a"
 
 
 class TestRenderJson:

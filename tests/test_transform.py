@@ -16,7 +16,9 @@ from l2transform import (
 )
 from l2transform import transform as tf
 
-from support import rand_fraction, rand_gexpr, rational_equal, recombines_to_one
+from support import (
+    equals_product, rand_fraction, rand_gexpr, rational_equal, recombines_to_one,
+)
 
 
 class TestForward:
@@ -153,6 +155,73 @@ class TestMultiply:
             np_, dp = _as_rational(prod)
             from support import poly_mul
             assert poly_mul(poly_mul(np_, d1), d2) == poly_mul(poly_mul(n1, n2), dp)
+
+
+# e^(x^2/2) + 2 x^2 e^(-x^2/3) + x^4: three poles, multiplicities 1, 2, 3.
+DEEP_F = GExpr((GTerm(1, 0, F(1, 2)), GTerm(2, 1, F(-1, 3)), GTerm(1, 2, 0)))
+
+
+class TestPower:
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("shift", [0, 1, F(-2, 3)])
+    def test_multi_pole_powers_match_the_oracle(self, n, shift):
+        s = forward(DEEP_F) + tf.constant(shift)
+        got = tf.power(s, n)
+        assert equals_product(got, [s] * n)
+        assert got.is_proper() == (shift == 0)
+
+    def test_first_power_is_identity(self):
+        s = forward(DEEP_F) + tf.constant(1)
+        assert tf.power(s, 1) == s
+
+
+class TestRegion:
+    def test_products_keep_the_largest_region(self):
+        s1 = forward(algebra.gaussian("1/2") + algebra.constant(1))
+        s2 = forward(algebra.gaussian(-1))
+        bare = tf.pole(1, 3, 2)
+        assert (s1.region, s2.region, bare.region) == (F(1, 2), F(-1), None)
+        assert tf.multiply(s1, s2).region == F(1, 2)
+        assert tf.multiply(s2, s2).region == F(-1)
+        assert tf.multiply(s2, bare).region == F(-1)
+        assert tf.multiply(bare, bare).region is None
+        assert tf.power(s2, 3).region == F(-1)
+        assert tf.power(tf.constant(2), 2).region is None
+
+    def test_partial_fractions_have_no_region(self):
+        assert partial_fractions([(0, 1), (F(1, 2), 2)]).region is None
+        assert partial_fractions([]).region is None
+
+
+sexpr_strategy = st.builds(
+    tf.SExpr,
+    st.lists(
+        st.builds(
+            tf.STerm,
+            c=st.fractions(min_value=-3, max_value=3, max_denominator=5),
+            a=st.sampled_from([F(0), F(1), F(-1, 2), F(1, 3), F(2)]),
+            m=st.integers(min_value=0, max_value=3),
+        ),
+        max_size=4,
+    ).map(tuple),
+    region=st.one_of(st.none(), st.fractions(min_value=-2, max_value=2, max_denominator=4)),
+)
+
+
+@given(sexpr_strategy, sexpr_strategy)
+@settings(max_examples=150, deadline=None)
+def test_multiply_matches_the_oracle_property(s1, s2):
+    got = tf.multiply(s1, s2)
+    assert equals_product(got, [s1, s2])
+    assert got == tf.multiply(s2, s1)
+    regions = [r for r in (s1.region, s2.region) if r is not None]
+    assert got.region == (max(regions) if regions else None)
+
+
+@given(sexpr_strategy, st.integers(min_value=2, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_power_is_repeated_multiplication_property(s, n):
+    assert tf.power(s, n) == tf.multiply(tf.power(s, n - 1), s)
 
 
 def _as_rational(s):
