@@ -16,8 +16,10 @@ class DivergentIntegralError(L2TransformError):
 
 
 class QuadratureFailureError(L2TransformError):
-    """The adaptive quadrature could not reach the requested tolerance
-    within its refinement budget."""
+    """The adaptive quadrature could not reach the requested tolerance:
+    its subinterval budget ran out, the round-off floor of its error
+    estimates alone already exceeds the tolerance, or the integrand gave
+    NaN."""
 
 
 class SchemaError(L2TransformError):

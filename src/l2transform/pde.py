@@ -32,6 +32,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import algebra
@@ -94,8 +95,12 @@ class LPoly:
         """The antiderivative vanishing at t = 0."""
         return LPoly(tuple((d + 1, c / (d + 1)) for d, c in self.coefficients))
 
+    @cached_property
+    def _float_coefficients(self) -> tuple[tuple[int, float], ...]:
+        return tuple((d, float(c)) for d, c in self.coefficients)
+
     def evaluate(self, t: float) -> float:
-        return sum(float(c) * t ** d for d, c in self.coefficients)
+        return sum(c * t ** d for d, c in self._float_coefficients)
 
     def evaluate_exact(self, t: Fraction) -> Fraction:
         t = as_rational(t)
@@ -103,7 +108,7 @@ class LPoly:
 
     def abs_coeff_bound(self, t_hi: float) -> float:
         """sum |c_d| t_hi**d, a bound for |p(t)| on [0, t_hi] (t_hi >= 0)."""
-        return sum(abs(float(c)) * t_hi ** d for d, c in self.coefficients)
+        return sum(abs(c) * t_hi ** d for d, c in self._float_coefficients)
 
 
 def lpoly(mapping: Mapping[int, RationalLike]) -> LPoly:

@@ -5,12 +5,16 @@
 used to validate every symbolic result in this package.  The integrand is
 truncated at a cutoff X* chosen from an analytic bound on the tail of the
 term-wise envelope C x**(2k+1) exp((rho - s^2) x^2); the finite interval is
-then handled by adaptive Gauss-Kronrod quadrature (scipy's QUADPACK).
+then handled by a globally adaptive Gauss-Kronrod rule: QUADPACK's G10/K21
+pair and error estimate (Piessens, de Doncker-Kapenga, Ueberhuber and
+Kahaner, QUADPACK, Springer 1983), in plain Python.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -20,6 +24,10 @@ from .errors import DivergentIntegralError, QuadratureFailureError
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Tolerances of integrate_interval, its budget of subintervals
+    (max_refinements, QUADPACK's `limit`) and the tail bound that sets
+    l2_quadrature's cutoff."""
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_refinements: int = 60
@@ -36,27 +44,94 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+# QK21's nodes on [-1, 1] as (abscissa x, Kronrod weight, Gauss weight) of
+# the pairs +-x, in QK21's summation order: the five G10 nodes, then the five
+# Kronrod-only nodes (Gauss weight 0).  The centre x = 0 is a Kronrod node only.
+_PAIRS = (
+    (0.973906528517171720077964012084452, 0.032558162307964727478818972459390,
+     0.066671344308688137593568809893332),
+    (0.865063366688984510732096688423493, 0.075039674810919952767043140916190,
+     0.149451349150580593145776339657697),
+    (0.679409568299024406234327365114874, 0.109387158802297641899210590325805,
+     0.219086362515982043995534934228163),
+    (0.433395394129247190799265943165784, 0.134709217311473325928054001771707,
+     0.269266719309996355091226921569469),
+    (0.148874338981631210884826001129720, 0.147739104901338491374841515972068,
+     0.295524224714752870173892994651338),
+    (0.995657163025808080735527280689003, 0.011694638867371874278064396062192, 0.0),
+    (0.930157491355708226001207180059508, 0.054755896574351996031381300244580, 0.0),
+    (0.780817726586416897063717578345042, 0.093125454583697605535065465083366, 0.0),
+    (0.562757134668604683339000099272694, 0.123491976262065851077958109831074, 0.0),
+    (0.294392862701460198131126603103866, 0.142775938577060080797094273138717, 0.0),
+)
+_CENTRE_WEIGHT = 0.149445554002916905664936468389821
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
+
+
+def _gk21(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
+    """QK21 on [lo, hi]: the K21 value, QK21's error estimate and its
+    round-off floor 50 eps * integral |fn|."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fc = fn(centre)
+    gauss, kronrod = 0.0, _CENTRE_WEIGHT * fc
+    resabs = abs(kronrod)
+    values = []
+    for x, wk, wg in _PAIRS:
+        f1, f2 = fn(centre - half * x), fn(centre + half * x)
+        values.append((wk, f1, f2))
+        gauss += wg * (f1 + f2)
+        kronrod += wk * (f1 + f2)
+        resabs += wk * (abs(f1) + abs(f2))
+    mean = 0.5 * kronrod
+    resasc = _CENTRE_WEIGHT * abs(fc - mean)
+    for wk, f1, f2 in values:
+        resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
+    resabs, resasc = resabs * half, resasc * half
+    err = abs((kronrod - gauss) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = _ROUNDOFF * resabs
+    return kronrod * half, max(err, floor), floor
+
+
 def integrate_interval(fn: Callable[[float], float], lo: float, hi: float,
                        cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Adaptive quadrature of fn over [lo, hi] at the config tolerances.
+    """Globally adaptive G10/K21 quadrature of fn over [lo, hi].
 
-    QUADPACK's non-convergence diagnostics (budget exhausted, roundoff
-    limits, bad behavior) all surface as QuadratureFailureError.
+    The subinterval with the largest error estimate is bisected until the
+    summed estimates fall to max(abs_tol, rel_tol * |integral|).  Raises
+    QuadratureFailureError when that needs more than cfg.max_refinements
+    subintervals, as soon as the summed round-off floors alone exceed the
+    tolerance, so no refinement can reach it (QUADPACK's ier = 2), or when
+    the integrand gives NaN.
     """
     if hi <= lo:
         return 0.0
-    from scipy.integrate import quad  # deferred: saves ~0.8 s of CLI startup
-
-    result = quad(
-        fn, lo, hi,
-        epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-        limit=cfg.max_refinements, full_output=1,
-    )
-    if len(result) > 3:
-        raise QuadratureFailureError(
-            f"adaptive refinement did not converge on [{lo}, {hi}]: {result[3]}"
-        )
-    return result[0]
+    value, err, floor = _gk21(fn, lo, hi)
+    heap = [(-err, lo, hi, value, floor)]
+    total, err_sum, floor_sum = value, err, floor
+    while err_sum > (tol := max(cfg.abs_tol, cfg.rel_tol * abs(total))):
+        if floor_sum > tol:
+            raise QuadratureFailureError(
+                f"round-off limits the accuracy on [{lo}, {hi}]: "
+                f"floor {floor_sum:.3g} exceeds tolerance {tol:.3g}"
+            )
+        if len(heap) >= cfg.max_refinements:
+            raise QuadratureFailureError(
+                f"adaptive refinement did not converge on [{lo}, {hi}] within "
+                f"{cfg.max_refinements} subintervals: error {err_sum:.3g}, tolerance {tol:.3g}"
+            )
+        _, a, b, _, _ = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        for a2, b2 in ((a, mid), (mid, b)):
+            value, err, floor = _gk21(fn, a2, b2)
+            heapq.heappush(heap, (-err, a2, b2, value, floor))
+        total = math.fsum(entry[3] for entry in heap)
+        err_sum = -math.fsum(entry[0] for entry in heap)
+        floor_sum = math.fsum(entry[4] for entry in heap)
+    if math.isnan(total):
+        raise QuadratureFailureError(f"the integrand gave NaN on [{lo}, {hi}]")
+    return total
 
 
 def _tail_bound(envelope: list[tuple[float, int, float]], x: float) -> float:

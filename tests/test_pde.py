@@ -16,6 +16,8 @@ from l2transform import (
 )
 from l2transform import pde
 
+from support import rand_fraction
+
 GRID = default_grid()
 M_ONE = lpoly({0: 1})
 M_T = lpoly({1: 1})
@@ -54,6 +56,18 @@ class TestLPoly:
         p = lpoly({1: 2})
         assert p.evaluate(1.5) == 3.0
         assert p.evaluate_exact(F(3, 2)) == 3
+
+    def test_cached_evaluate_is_the_fraction_sum(self):
+        # the float coefficients are cached per LPoly; the sum keeps its order
+        rng = random.Random(11)
+        for _ in range(40):
+            p = lpoly({d: rand_fraction(rng, -9, 9, max_den=13)
+                       for d in rng.sample(range(12), rng.randint(1, 6))})
+            for t in (0.0, 0.37, 1.0, 2.5, 17.0):
+                expected = sum(float(c) * t ** d for d, c in p.coefficients)
+                assert p.evaluate(t) == expected
+                assert p.evaluate(t) == expected
+            assert p == LPoly(p.coefficients) and hash(p) == hash(LPoly(p.coefficients))
 
 
 def _series_a_partial_sum(depth: int) -> float:

@@ -1,19 +1,23 @@
 """Numeric-oracle tests: known integral values, divergence detection,
-truncation-cutoff behavior, and the failure path."""
+truncation-cutoff behavior, the failure path, the G10/K21 rule itself and
+its agreement with scipy's QUADPACK (a test-only dependency)."""
 
 import math
 import random
+import subprocess
+import sys
+from fractions import Fraction as F
 
 import pytest
 
 from l2transform import (
     DivergentIntegralError, QuadratureConfig, QuadratureFailureError,
-    algebra, forward, l2_quadrature,
+    algebra, convolution, convolve_numeric, forward, l2_quadrature, quadrature,
 )
 from l2transform.quadrature import integrate_interval, truncation_cutoff
 from l2transform.transform import evaluate_at
 
-from support import rand_gexpr
+from support import child_env, rand_gexpr
 
 
 class TestKnownValues:
@@ -108,3 +112,117 @@ class TestConfig:
         cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_refinements=1)
         with pytest.raises(QuadratureFailureError):
             l2_quadrature(algebra.monomial(1, 10), math.sqrt(0.5), cfg)
+
+
+def _counted(fn, calls):
+    def wrapper(x):
+        calls.append(x)
+        return fn(x)
+    return wrapper
+
+
+@pytest.fixture
+def pieces(monkeypatch):
+    """Records (fn, lo, hi, cfg) and the evaluation count of every
+    integrate_interval call made by l2_quadrature and convolve_numeric."""
+    seen = []
+
+    def spy(fn, lo, hi, cfg=quadrature.DEFAULT_CONFIG):
+        calls = []
+        seen.append((fn, lo, hi, cfg, calls))
+        return integrate_interval(_counted(fn, calls), lo, hi, cfg)
+
+    monkeypatch.setattr(quadrature, "integrate_interval", spy)
+    monkeypatch.setattr(convolution, "integrate_interval", spy)
+    return seen
+
+
+def _criterion5_pairs(n):
+    # the draws of test_acceptance's criterion 5
+    rng = random.Random(1005)
+    return [tuple(rand_gexpr(rng, max_terms=2, max_k=2, rate_lo=-1, rate_hi=0, coeff_hi=3)
+                  for _ in range(2)) for _ in range(n)]
+
+
+ZERO_VALUED = (algebra.monomial(-1, 2),
+               algebra.monomial(F(-12, 5), 1) + algebra.monomial(F(3, 2), 2), 2.0)
+
+
+class TestRule:
+    def test_one_panel_is_exact_to_degree_19(self):
+        for d in range(20):
+            calls = []
+            got = integrate_interval(_counted(lambda x, d=d: x ** d, calls), 0.0, 1.0)
+            assert got == pytest.approx(1 / (d + 1), rel=1e-14)
+            assert len(calls) == 21
+
+    def test_convolution_pieces_take_one_panel(self, pieces):
+        f, g = _criterion5_pairs(1)[0]
+        for t in (0.5, 1.0, 2.0):
+            convolve_numeric(f, g, t)
+        assert [len(calls) for *_, calls in pieces] == [21] * 6
+
+    def test_nan_integrand_fails(self):
+        for fn in (lambda x: math.nan, lambda x: math.nan if x == 0.5 else 1.0):
+            with pytest.raises(QuadratureFailureError):
+                integrate_interval(fn, 0.0, 1.0)
+
+    def test_budget_counts_subintervals(self, pieces):
+        # this criterion-5 piece converges after one bisection: two subintervals
+        f, g = _criterion5_pairs(7)[6]
+        convolve_numeric(f, g, 2.0, QuadratureConfig(max_refinements=2))
+        assert len(pieces[0][-1]) == 3 * 21
+        with pytest.raises(QuadratureFailureError, match="within 1 subintervals"):
+            convolve_numeric(f, g, 2.0, QuadratureConfig(max_refinements=1))
+
+    def test_zero_valued_convolution_stops_on_round_off(self, pieces):
+        # exact value 0, so only abs_tol is left, below the round-off floor
+        with pytest.raises(QuadratureFailureError, match="round-off"):
+            convolve_numeric(*ZERO_VALUED)
+        budget = 21 * (2 * quadrature.DEFAULT_CONFIG.max_refinements - 1)
+        assert len(pieces) == 1 and len(pieces[0][-1]) < budget
+
+
+class TestAgainstQuadpack:
+    def test_agreement_battery_and_convolution_pieces(self, pieces):
+        from scipy.integrate import quad
+
+        rng = random.Random(17)  # the inputs of TestAgreement
+        for _ in range(15):
+            e = rand_gexpr(rng, rate_lo=-2, rate_hi=0) + algebra.constant(1)
+            rho = float(e.max_rate())
+            for sigma in (rho + 0.5, rho + 2.0):
+                l2_quadrature(e, math.sqrt(sigma))
+        for f, g in _criterion5_pairs(50):
+            for t in (0.5, 1.0, 2.0):
+                convolve_numeric(f, g, t)
+        assert len(pieces) == 30 + 300
+        for fn, lo, hi, cfg, _ in pieces:
+            ref = quad(fn, lo, hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
+                       limit=cfg.max_refinements)[0]
+            got = integrate_interval(fn, lo, hi, cfg)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (lo, hi, got, ref)
+
+
+_NO_THIRD_PARTY = """
+import runpy, sys
+from l2transform import algebra, convolve_numeric, l2_quadrature
+l2_quadrature(algebra.gaussian("1/2"), 1.0)
+convolve_numeric(algebra.constant(1), algebra.monomial(1, 1), 1.0)
+sys.argv = ["l2t", "quad", sys.argv[1], "--s", "1"]
+try:
+    runpy.run_module("l2transform.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numpy")))
+"""
+
+
+def test_runtime_imports_no_third_party_module(tmp_path):
+    doc = tmp_path / "exp_half.json"
+    doc.write_text('{"kind":"gexpr","terms":[{"c":"1","k":0,"a":"1/2"}]}')
+    proc = subprocess.run([sys.executable, "-c", _NO_THIRD_PARTY, str(doc)],
+                          capture_output=True, text=True, cwd=tmp_path, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith('{"kind":"quadrature"')
+    assert proc.stdout.splitlines()[-1] == "[]"
