@@ -36,7 +36,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import algebra
-from .algebra import GExpr, GTerm, RationalLike, as_rational
+from .algebra import GExpr, GTerm, RationalLike, _is_count, as_rational
 from .convolution import EXP_HALF, convolve_symbolic
 from .errors import GridDomainError
 
@@ -57,7 +57,7 @@ class LPoly:
     def __post_init__(self):
         merged: dict[int, Fraction] = {}
         for deg, c in self.coefficients:
-            if not isinstance(deg, int) or deg < 0:
+            if not _is_count(deg, 0):
                 raise ValueError(f"degree must be a nonnegative integer, got {deg!r}")
             merged[deg] = merged.get(deg, Fraction(0)) + as_rational(c)
         canon = tuple((d, c) for d, c in sorted(merged.items()) if c != 0)
@@ -77,7 +77,7 @@ class LPoly:
         return LPoly(tuple(out))
 
     def __pow__(self, n: int) -> "LPoly":
-        if not isinstance(n, int) or n < 0:
+        if not _is_count(n, 0):
             raise ValueError("LPoly powers must be nonnegative integers")
         result = LPoly(((0, Fraction(1)),))
         for _ in range(n):
@@ -112,7 +112,7 @@ class LPoly:
 
 
 def lpoly(mapping: Mapping[int, RationalLike]) -> LPoly:
-    return LPoly(tuple((int(d), as_rational(c)) for d, c in mapping.items()))
+    return LPoly(tuple((d, as_rational(c)) for d, c in mapping.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,7 @@ class _HornerTable:
 
 def _orders(depth: int) -> range:
     """The term orders 0..depth of a valid truncation depth."""
-    if not isinstance(depth, int) or depth < 1:
+    if not _is_count(depth, 1):
         raise ValueError("truncation depth must be an integer >= 1")
     return range(depth + 1)
 

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .algebra import GExpr
+from .algebra import GExpr, _is_count
 from .errors import DivergentIntegralError, QuadratureFailureError
 
 
@@ -37,7 +37,7 @@ class QuadratureConfig:
         for name in ("rel_tol", "abs_tol", "tail_epsilon"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if not isinstance(self.max_refinements, int) or self.max_refinements < 1:
+        if not _is_count(self.max_refinements, 1):
             raise ValueError("max_refinements must be an integer >= 1")
 
 

@@ -10,6 +10,15 @@ function-valued inverse.
 All arithmetic is exact.  Every product (convolution, star power, partial
 fractions) goes through :func:`_product`, which reads the principal part at
 each pole off the product of the factors' truncated Laurent series there.
+Each series is kept as integer numerators over one common denominator, so
+the series products are integer arithmetic and each emitted coefficient is
+a single Fraction (the common-denominator technique of Knuth, TAOCP vol. 2,
+4.5.1).
+
+The public constructors canonicalize whatever they are given.
+`SExpr._trusted` and `GExpr._trusted` skip that for output that is canonical
+by construction (Fraction fields, nonzero coefficients, keys strictly
+ascending); only `_product`, `forward`, `inverse` and `delta_s` use them.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from functools import reduce
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .algebra import GExpr, GTerm, RationalLike, as_rational
+from .algebra import GExpr, RationalLike, _is_count, _unchecked, as_rational
 from .errors import ImpulseContentError
 
 
@@ -36,7 +45,7 @@ class STerm:
     def __post_init__(self):
         object.__setattr__(self, "c", as_rational(self.c))
         object.__setattr__(self, "a", as_rational(self.a))
-        if not isinstance(self.m, int) or self.m < 0:
+        if not _is_count(self.m, 0):
             raise ValueError(f"multiplicity m must be a nonnegative integer, got {self.m!r}")
 
 
@@ -67,6 +76,16 @@ class SExpr:
             if c != 0
         )
         object.__setattr__(self, "terms", canon)
+
+    @classmethod
+    def _trusted(cls, terms: Iterable[tuple[Fraction, Fraction, int]],
+                 region: Optional[Fraction] = None) -> "SExpr":
+        """SExpr of (c, a, m) triples that are canonical by construction
+        (c nonzero, c and a Fractions with a = 0 where m = 0, m an int >= 0,
+        keys (a, m) strictly ascending), built without __post_init__'s
+        coercion and re-merge."""
+        return _unchecked(cls, terms=tuple(_unchecked(STerm, c=c, a=a, m=m) for c, a, m in terms),
+                          region=region)
 
     def __add__(self, other: "SExpr") -> "SExpr":
         return add(self, other)
@@ -116,12 +135,8 @@ def forward(e: GExpr) -> SExpr:
     Term rule: c x**(2k) e^(a x^2)  ->  c * k!/2 * (sigma - a)**-(k+1).
     The result is valid on sigma > max a, recorded in `region`.
     """
-    terms = tuple(
-        STerm(t.c * math.factorial(t.k) / 2, t.a, t.k + 1)
-        for t in e.terms
-    )
-    region = e.max_rate() if e.terms else None
-    return SExpr(terms, region=region)
+    return SExpr._trusted(((t.c * math.factorial(t.k) / 2, t.a, t.k + 1) for t in e.terms),
+                          region=e.max_rate() if e.terms else None)
 
 
 def inverse(s: SExpr) -> GExpr:
@@ -135,10 +150,7 @@ def inverse(s: SExpr) -> GExpr:
         raise ImpulseContentError(
             f"sigma-constant content {bad[0].c} has no function-valued inverse"
         )
-    return GExpr(tuple(
-        GTerm(2 * t.c / math.factorial(t.m - 1), t.m - 1, t.a)
-        for t in s.terms
-    ))
+    return GExpr._trusted((2 * t.c / math.factorial(t.m - 1), t.m - 1, t.a) for t in s.terms)
 
 
 def delta_s(s: SExpr) -> SExpr:
@@ -146,10 +158,8 @@ def delta_s(s: SExpr) -> SExpr:
 
     Term rule: c (sigma - a)**(-m)  ->  -2 m c (sigma - a)**-(m+1).
     """
-    return SExpr(
-        tuple(STerm(-2 * t.m * t.c, t.a, t.m + 1) for t in s.terms if t.m >= 1),
-        region=s.region,
-    )
+    return SExpr._trusted(((-2 * t.m * t.c, t.a, t.m + 1) for t in s.terms if t.m >= 1),
+                          region=s.region)
 
 
 def mul_sigma(s: SExpr) -> SExpr:
@@ -169,38 +179,53 @@ def mul_sigma(s: SExpr) -> SExpr:
     return SExpr(tuple(out), region=s.region)
 
 
-def _laurent_factor(s: SExpr, a: Fraction, shift: int, n: int) -> list:
+def _laurent_factor(s: SExpr, a: Fraction, n: int) -> tuple[list[int], int]:
     """Taylor coefficients, up to u**(n-1), of u**shift * s(a + u), where
-    shift is at least s's highest multiplicity at a; zeros are int 0 (cheaper
-    to test and add than Fraction(0)).  Terms at a and sigma-constants shift
-    into place; c (sigma - b)**(-m) is c (u + d)**(-m) with d = a - b = p/q,
-    whose coefficient j is c (-1)**j C(m+j-1, j) q**(m+j) / p**(m+j).
+    shift is s's highest multiplicity at a (0 if a is not a pole of s), as
+    integer numerators over one positive common denominator: (numerators,
+    denominator).  n is at least shift.
+
+    Terms at a and sigma-constants shift into place; c (sigma - b)**(-m) is
+    c (u + d)**(-m) with d = a - b = p/q.  Writing 1/d = g/f with f = |p| > 0,
+    its coefficient j is c (g/f)**m C(m+j-1, j) (-g/f)**j, so every one of
+    them sits over c's denominator times f**(m + n - shift - 1).
     """
-    series = [0] * n
+    near, far = [], []
     for t in s.terms:
-        if t.m and t.a != a:
-            d = a - t.a
-            num, den = t.c.numerator * d.denominator ** t.m, t.c.denominator * d.numerator ** t.m
-            for j in range(n - shift):
-                v = Fraction(num * math.comb(t.m + j - 1, j), den)
-                series[shift + j] = series[shift + j] + v if series[shift + j] else v
-                num, den = -num * d.denominator, den * d.numerator
-        elif shift - t.m < n:
-            k = shift - t.m
-            series[k] = series[k] + t.c if series[k] else t.c
-    return series
+        (far if t.m and t.a != a else near).append(t)
+    shift = max((t.m for t in near), default=0)
+    # (denominator, index of the first coefficient, numerators)
+    parts = [(t.c.denominator, shift - t.m, [t.c.numerator]) for t in near if shift - t.m < n]
+    length = n - shift
+    for t in far:
+        d = a - t.a
+        f, g = abs(d.numerator), d.denominator if d.numerator > 0 else -d.denominator
+        num, nums = t.c.numerator * g ** t.m, []
+        for j in range(length):
+            nums.append(num * math.comb(t.m + j - 1, j) * f ** (length - 1 - j))
+            num *= -g
+        parts.append((t.c.denominator * f ** (t.m + length - 1), shift, nums))
+    den = math.lcm(*(part[0] for part in parts))
+    series = [0] * n
+    for part_den, start, nums in parts:
+        scale = den // part_den
+        for k, num in enumerate(nums, start):
+            series[k] += num * scale
+    return series, den
 
 
-def _truncated_product(p: list, q: list) -> list:
-    """Product of two power series to as many terms as p, skipping zeros."""
+def _truncated_product(left: tuple[list[int], int],
+                       right: tuple[list[int], int]) -> tuple[list[int], int]:
+    """Product of two power series given as (integer numerators, denominator),
+    to as many terms as the left one, skipping zeros."""
+    (p, p_den), (q, q_den) = left, right
     out = [0] * len(p)
     for i, x in enumerate(p):
         if x:
-            for j, y in enumerate(q[:len(p) - i]):
+            for j, y in enumerate(q[:len(p) - i], i):
                 if y:
-                    v = x * y
-                    out[i + j] = out[i + j] + v if out[i + j] else v
-    return out
+                    out[j] += x * y
+    return out, p_den * q_den
 
 
 def _product(factors: list[SExpr]) -> SExpr:
@@ -209,27 +234,35 @@ def _product(factors: list[SExpr]) -> SExpr:
     At each pole a of total order N (the sum of the factors' highest
     multiplicities M there), (sigma - a)**N times the product is the product
     of the factors' series u**M s(a + u), u = sigma - a: its coefficient j is
-    that of (sigma - a)**(-(N - j)).  Constants multiply as they are.
+    that of (sigma - a)**(-(N - j)).  Each series is integer numerators over
+    one denominator, so the product is integer arithmetic and every emitted
+    coefficient is one Fraction.  Constants multiply as they are.  Terms are
+    emitted in canonical order, poles ascending and m ascending within each,
+    the constant in its (0, 0) slot.
     """
-    # terms are sorted by (a, m), so the last one at a has the highest m
-    orders = [{t.a: t.m for t in s.terms if t.m} for s in factors]
     total: Counter[Fraction] = Counter()
-    for order in orders:
-        total.update(order)
-    const = math.prod(next((t.c for t in s.terms if t.m == 0), 0) for s in factors)
-    out = [STerm(const, 0, 0)] if const else []
-    for a, n in total.items():
-        series = reduce(_truncated_product, (_laurent_factor(s, a, order.get(a, 0), n)
-                                             for s, order in zip(factors, orders)))
-        out.extend(STerm(c, a, n - j) for j, c in enumerate(series) if c)
-    return SExpr(tuple(out), region=_region(factors))
+    for s in factors:
+        # terms are sorted by (a, m), so the last one at a has the highest m
+        total.update({t.a: t.m for t in s.terms if t.m})
+    const = math.prod((next((t.c for t in s.terms if t.m == 0), 0) for s in factors),
+                      start=Fraction(1))
+    out = []
+    for a, n in sorted(total.items()):
+        if const and a >= 0:
+            out.append((const, Fraction(0), 0))
+            const = 0
+        series, den = reduce(_truncated_product, (_laurent_factor(s, a, n) for s in factors))
+        out.extend((Fraction(series[j], den), a, n - j) for j in reversed(range(n)) if series[j])
+    if const:
+        out.append((const, Fraction(0), 0))
+    return SExpr._trusted(out, region=_region(factors))
 
 
 def partial_fractions(factors: Iterable[tuple[RationalLike, int]]) -> SExpr:
     """Partial-fraction form of 1 / prod (sigma - a_i)**(m_i), repeats added."""
     poles = []
     for a, m in factors:
-        if not isinstance(m, int) or m < 1:
+        if not _is_count(m, 1):
             raise ValueError(f"factor multiplicity must be a positive integer, got {m!r}")
         poles.append(pole(1, a, m))
     return _product(poles)
@@ -242,7 +275,7 @@ def multiply(s1: SExpr, s2: SExpr) -> SExpr:
 
 def power(s: SExpr, n: int) -> SExpr:
     """n-th product power, n >= 1."""
-    if not isinstance(n, int) or n < 1:
+    if not _is_count(n, 1):
         raise ValueError(f"power expects a positive integer, got {n!r}")
     return _product([s] * n)
 

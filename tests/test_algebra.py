@@ -3,6 +3,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
@@ -66,6 +67,10 @@ class TestCanonicalize:
         with pytest.raises(ValueError):
             GTerm(F(1), -1, F(0))
 
+    def test_rejects_boolean_half_degree(self):
+        with pytest.raises(ValueError):
+            GTerm(1, True, 0)
+
     def test_as_rational_keeps_fractions_and_rejects_floats(self):
         q = F(-3, 7)
         assert algebra.as_rational(q) is q
@@ -114,21 +119,25 @@ class TestEvaluate:
         ([(F(1, 7), 150, F(-1, 2)), (5, 0, 0)], 40.0),
     ])
     def test_log_space_sum_matches_decimal(self, terms, x):
-        from decimal import Decimal, localcontext
         e = canonicalize([gterm(c, k, a) for c, k, a in terms])
         with pytest.raises(OverflowError):  # the plain float loop overflows here
             sum(float(t.c) * x ** (2 * t.k) for t in e.terms)
-        with localcontext() as ctx:
-            ctx.prec = 60
-            xd = Decimal(x)
-            exact = sum(Decimal(t.c.numerator) / t.c.denominator * xd ** (2 * t.k)
-                        * (Decimal(t.a.numerator) / t.a.denominator * xd * xd).exp()
-                        for t in e.terms)
-        assert evaluate(e, x) == pytest.approx(float(exact), rel=1e-11)
+        assert evaluate(e, x) == pytest.approx(decimal_value(e, x), rel=1e-11)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             evaluate(canonicalize([gterm(1, 0, 0)]), -0.5)
+
+
+def decimal_value(e: GExpr, x: float) -> float:
+    """e(x) summed in 60-digit decimal arithmetic from the exact term data."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        xd = Decimal(x)
+        return float(sum((Decimal(t.c.numerator) / t.c.denominator
+                          * (xd ** (2 * t.k) if t.k else 1)
+                          * (Decimal(t.a.numerator) / t.a.denominator * xd * xd).exp()
+                          for t in e.terms), Decimal(0)))
 
 
 class TestArithmetic:
@@ -184,6 +193,15 @@ def test_pointwise_soundness_of_arithmetic(e1, e2, x):
     )
     assert abs(evaluate(e1 * e2, x) - evaluate(e1, x) * evaluate(e2, x)) \
         <= 1e-12 * prod_envelope
+
+
+@given(gexpr_strategy, st.floats(min_value=0.0, max_value=4.0))
+@settings(max_examples=150)
+def test_evaluate_matches_decimal_property(e, x):
+    # the bound evaluate documents: 1e-12 times the term-wise envelope
+    envelope = sum(abs(float(t.c)) * x ** (2 * t.k) * math.exp(float(t.a) * x * x)
+                   for t in e.terms)
+    assert abs(evaluate(e, x) - decimal_value(e, x)) <= 1e-12 * envelope
 
 
 class TestDeltaX:

@@ -84,7 +84,7 @@ class TestStarPower:
         with pytest.raises(ValueError):
             star_power(ONE, 0)
 
-    @pytest.mark.parametrize("n", [-1, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [-1, 1.5, 2.0, True])
     def test_power_must_be_a_positive_integer(self, n):
         with pytest.raises(ValueError):
             star_power(EXP_HALF, n)

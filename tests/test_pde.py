@@ -52,6 +52,12 @@ class TestLPoly:
         assert p ** 2 == lpoly({0: 1, 1: 2, 2: 1})
         assert p ** 0 == lpoly({0: 1})
 
+    def test_boolean_degrees_and_powers_rejected(self):
+        for build in (lambda: LPoly(((True, F(1)),)), lambda: lpoly({True: 1}),
+                      lambda: lpoly({0: 1, 1: 1}) ** True):
+            with pytest.raises(ValueError):
+                build()
+
     def test_evaluate(self):
         p = lpoly({1: 2})
         assert p.evaluate(1.5) == 3.0
@@ -111,6 +117,16 @@ class TestFamilyA:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             solve_family_a(0)
+
+    @pytest.mark.parametrize("solve", [
+        solve_family_a,
+        lambda depth: solve_family_b(lpoly({0: 1}), depth),
+        lambda depth: solve_family_c(lpoly({0: 1}), depth),
+        lambda depth: solve_family_d(lpoly({0: 1}), depth),
+    ])
+    def test_boolean_depth_rejected(self, solve):
+        with pytest.raises(ValueError):
+            solve(True)
 
 
 class TestFamilyB:

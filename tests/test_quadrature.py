@@ -107,6 +107,8 @@ class TestConfig:
             QuadratureConfig(abs_tol=-1e-3)
         with pytest.raises(ValueError):
             QuadratureConfig(max_refinements=0)
+        with pytest.raises(ValueError):
+            QuadratureConfig(max_refinements=True)
 
     def test_budget_exhaustion_fails(self):
         cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_refinements=1)

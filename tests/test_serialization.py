@@ -37,6 +37,15 @@ class TestRoundTrip:
                     lpoly({0: 1, 2: F(7, 9)})):
             assert loads(dumps(obj)) == obj
 
+    @pytest.mark.parametrize("build", [
+        lambda n: algebra.monomial(1, n), lambda n: pole(1, 0, n), lambda n: lpoly({n: 1}),
+    ])
+    def test_integer_fields_round_trip_and_booleans_are_refused(self, build):
+        doc = dumps(build(1))
+        assert "true" not in doc and loads(doc) == build(1)
+        with pytest.raises(ValueError):  # True == 1, but a bool would be written as true
+            build(True)
+
     def test_non_canonical_input_canonicalizes(self):
         e = loads('{"kind":"gexpr","terms":[{"c":"1","k":0,"a":"0"},{"c":"2","k":0,"a":"0"}]}')
         assert e == algebra.constant(3)

@@ -175,6 +175,16 @@ class TestPower:
         assert tf.power(s, 1) == s
 
 
+class TestBooleansAreNotCounts:
+    def test_multiplicity(self):
+        with pytest.raises(ValueError):
+            tf.pole(1, 0, True)
+
+    def test_partial_fraction_multiplicity(self):
+        with pytest.raises(ValueError):
+            partial_fractions([(0, True)])
+
+
 class TestRegion:
     def test_products_keep_the_largest_region(self):
         s1 = forward(algebra.gaussian("1/2") + algebra.constant(1))
@@ -222,6 +232,43 @@ def test_multiply_matches_the_oracle_property(s1, s2):
 @settings(max_examples=60, deadline=None)
 def test_power_is_repeated_multiplication_property(s, n):
     assert tf.power(s, n) == tf.multiply(tf.power(s, n - 1), s)
+
+
+def _assert_canonical(r):
+    """r is a fixed point of its public constructor, in the same term order,
+    and every rational field is a Fraction."""
+    if isinstance(r, GExpr):
+        assert GExpr(r.terms).terms == r.terms
+        assert all(type(t.c) is F and type(t.a) is F and type(t.k) is int for t in r.terms)
+    else:
+        assert tf.SExpr(r.terms, r.region).terms == r.terms
+        assert all(type(t.c) is F and type(t.a) is F and type(t.m) is int for t in r.terms)
+
+
+@given(st.lists(sexpr_strategy, min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_products_are_canonical_property(factors):
+    s, n = factors[0], len(factors)
+    products = [(tf._product(factors), factors), (tf.power(s, n), [s] * n)]
+    if n == 2:
+        products.append((tf.multiply(*factors), factors))
+    for got, used in products:
+        _assert_canonical(got)
+        assert equals_product(got, used)
+
+
+@given(st.lists(st.tuples(st.sampled_from([F(0), F(1), F(-1, 2), F(1, 3), F(-5, 4)]),
+                          st.integers(min_value=1, max_value=3)), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_partial_fractions_are_canonical_property(factors):
+    got = partial_fractions(factors)
+    _assert_canonical(got)
+    assert equals_product(got, [tf.pole(1, a, m) for a, m in factors])
+
+
+def test_empty_product_is_the_fraction_one():
+    _assert_canonical(partial_fractions([]))
+    assert partial_fractions([]).terms == (tf.STerm(F(1), F(0), 0),)
 
 
 def _as_rational(s):
@@ -286,6 +333,14 @@ def test_derivation_identity_property(e):
     lhs = forward(delta_x(e))
     rhs = tf.scale(mul_sigma(forward(e)), 2) - tf.constant(limit_at_zero(e))
     assert lhs == rhs
+
+
+@given(gexpr_strategy, sexpr_strategy)
+@settings(max_examples=100, deadline=None)
+def test_transforms_are_canonical_property(e, s):
+    proper = tf.SExpr(tuple(t for t in s.terms if t.m), s.region)
+    for got in (forward(e), inverse(forward(e)), inverse(proper), delta_s(s), delta_s(forward(e))):
+        _assert_canonical(got)
 
 
 def test_quadrature_agreement_with_forward():
