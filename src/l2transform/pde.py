@@ -1,7 +1,7 @@
 """Transform-method series solvers for four PDE families on x, t > 0,
 an exact-coefficient polynomial type for their t-dependent data, and a
 residual harness that evaluates each family's defining equation on a grid
-with exact derivatives, cross-checked by finite differences.
+with analytic derivatives, cross-checked by finite differences.
 
 Families (u = u(x, t); all written with the ring derivation
 delta_x = (1/x) d/dx; coefficient data enters through the polynomial
@@ -79,10 +79,7 @@ class LPoly:
     def __pow__(self, n: int) -> "LPoly":
         if not _is_count(n, 0):
             raise ValueError("LPoly powers must be nonnegative integers")
-        result = LPoly(((0, Fraction(1)),))
-        for _ in range(n):
-            result = result * self
-        return result
+        return math.prod([self] * n, start=LPoly(((0, Fraction(1)),)))
 
     def scale(self, c: RationalLike) -> "LPoly":
         c = as_rational(c)
@@ -176,44 +173,43 @@ def _inverse_square(t: Fraction) -> Fraction:
     return 1 / t ** 2
 
 
-class _HornerTable:
-    """Float form of sum_n tau^n X_n(x) for exact profiles X_n, or with
-    `d_tau` of its tau-derivative sum_n n tau^(n-1) X_n(x).  Per Gaussian
-    rate a it is e^(a y) times a polynomial in tau, evaluated by Horner from
-    the highest power down, whose coefficients are polynomials in y = x^2,
-    evaluated by Horner with their lowest power factored out."""
+def _horner_jet(low: int, coeffs: tuple[float, ...], z: float) -> tuple[float, float]:
+    """z^low p(z) and its derivative, p given from the highest power down:
+    Horner with derivative (Knuth, TAOCP vol. 2, 4.6.4)."""
+    p = dp = 0.0
+    for c in coeffs:
+        dp, p = dp * z + p, p * z + c
+    zl = z ** low
+    return zl * p, zl * dp + (low * z ** (low - 1) * p if low else 0.0)
 
-    def __init__(self, profiles: tuple[GExpr, ...], d_tau: bool):
+
+class _HornerTable:
+    """Float form of S = sum_n tau^n X_n(x) for exact profiles X_n: per
+    Gaussian rate a, e^(a y) times a polynomial in y = x^2 whose y^k
+    coefficient is a polynomial in tau with its lowest power factored out."""
+
+    def __init__(self, profiles: tuple[GExpr, ...]):
         by_rate: dict[float, dict[int, dict[int, float]]] = {}
         for n, profile in enumerate(profiles):
-            if d_tau and n == 0:
-                continue  # d/dtau of tau^0
-            weight, power = (n, n - 1) if d_tau else (1, n)
             for term in profile.terms:
-                row = by_rate.setdefault(float(term.a), {}).setdefault(power, {})
-                row[term.k] = row.get(term.k, 0.0) + weight * float(term.c)
-        # per rate: rows from the highest tau power down, each row
-        # (lowest y-power, coefficients from the highest y-power down)
+                poly = by_rate.setdefault(float(term.a), {}).setdefault(term.k, {})
+                poly[n] = poly.get(n, 0.0) + float(term.c)
+        # per rate: the y-coefficients from the highest y-power down, each
+        # (lowest tau-power, coefficients from the highest tau-power down)
         self.rates = []
-        for a, rows in sorted(by_rate.items()):
+        for a, polys in sorted(by_rate.items()):
             table = []
-            for m in range(max(rows), -1, -1):
-                row = rows.get(m, {0: 0.0})
-                low = min(row)
-                table.append((low, tuple(row.get(k, 0.0) for k in range(max(row), low - 1, -1))))
+            for k in range(max(polys), -1, -1):
+                poly = polys.get(k, {0: 0.0})
+                low = min(poly)
+                table.append((low, tuple(poly.get(n, 0.0) for n in range(max(poly), low - 1, -1))))
             self.rates.append((a, tuple(table)))
 
-    def __call__(self, y: float, tau: float) -> float:
-        total = 0.0
-        for a, rows in self.rates:
-            acc = 0.0
-            for low, coeffs in rows:
-                inner = 0.0
-                for c in coeffs:
-                    inner = inner * y + c
-                acc = inner * y ** low + tau * acc
-            total += acc * (math.exp(a * y) if a else 1.0)
-        return total
+    def collapse(self, tau: float) -> list[tuple[float, tuple[float, ...], tuple[float, ...]]]:
+        """Per rate a: the y-coefficients of S at tau and their
+        tau-derivatives, each from the highest y-power down."""
+        return [(a, *zip(*(_horner_jet(low, coeffs, tau) for low, coeffs in table)))
+                for a, table in self.rates]
 
 
 def _orders(depth: int) -> range:
@@ -230,8 +226,8 @@ class SeriesSolution:
     antiderivative of the problem's ratio M; P(t) = exp(-tau(t)) when
     `prefactor` is set, else 1.  depth N means: term indices n = 0..N for
     families A and B, the unit term plus n = 1..N for family C; family D
-    is a single closed form.  No numeric differentiation ever happens
-    inside a solution.
+    is a single closed form.  `at(t)` evaluates u and its derivatives from
+    one float table; no numeric differentiation happens inside a solution.
     """
 
     def __init__(self, problem: PDEProblem, depth: int, metadata: dict,
@@ -247,40 +243,42 @@ class SeriesSolution:
         self.tau = tau or TimeVariable(
             self.anti.evaluate, self.ratio.evaluate, self.anti.evaluate_exact)
         self.prefactor = prefactor
-        slopes = tuple(algebra.delta_x(p) for p in self.profiles)
-        self._u, self._u_tau = _HornerTable(self.profiles, False), _HornerTable(self.profiles, True)
-        self._v, self._v_tau = _HornerTable(slopes, False), _HornerTable(slopes, True)
+        self._table = _HornerTable(self.profiles)
 
-    def _tau_p(self, t: float) -> tuple[float, float]:
-        """tau(t) and the prefactor P(t)."""
-        tau = self.tau.value(t)
-        return tau, math.exp(-tau) if self.prefactor else 1.0
+    def at(self, t: float) -> Callable[[float], tuple[float, float, float, float]]:
+        """x -> (u, u_t, u_x, u_xt) at time t.  One collapse of tau gives the
+        y-coefficient pairs (c, d) of S and S_tau, with P = exp(-tau) folded in
+        as (P c, P (d - c)); Horner with derivative in y gives S_y = e^(a y)
+        (a p + p') per rate a, then u_x = 2 x S_y and u_t = tau'(t) S_tau."""
+        tau, tau_t = self.tau.value(t), self.tau.derivative(t)
+        collapsed = self._table.collapse(tau)
+        if self.prefactor:
+            p = math.exp(-tau)
+            collapsed = [(a, [p * c for c in cs], [p * (d - c) for c, d in zip(cs, ds)])
+                         for a, cs, ds in collapsed]
+
+        def jet(x: float) -> tuple[float, float, float, float]:
+            y = x * x
+            s = s_tau = s_y = s_tau_y = 0.0
+            for a, cs, ds in collapsed:
+                (q, dq), (r, dr) = _horner_jet(0, cs, y), _horner_jet(0, ds, y)
+                g = math.exp(a * y) if a else 1.0
+                s += g * q
+                s_tau += g * r
+                s_y += g * (a * q + dq)
+                s_tau_y += g * (a * r + dr)
+            return s, tau_t * s_tau, 2 * x * s_y, 2 * x * tau_t * s_tau_y
+
+        return jet
 
     def value(self, x: float, t: float) -> float:
-        tau, p = self._tau_p(t)
-        return p * self._u(x * x, tau)
-
-    def dt(self, x: float, t: float) -> float:
-        return self._d_dt(self._u, self._u_tau, x * x, t)
-
-    def dx(self, x: float, t: float) -> float:
-        tau, p = self._tau_p(t)
-        return p * x * self._v(x * x, tau)
-
-    def dxdt(self, x: float, t: float) -> float:
-        return x * self._d_dt(self._v, self._v_tau, x * x, t)
-
-    def _d_dt(self, table: _HornerTable, table_tau: _HornerTable, y: float, t: float) -> float:
-        """d/dt of P(t) table(y, tau(t)) = tau' P (table_tau - table) with
-        the prefactor P = exp(-tau), tau' table_tau without it."""
-        tau, p = self._tau_p(t)
-        s = table_tau(y, tau) - table(y, tau) if self.prefactor else table_tau(y, tau)
-        return p * self.tau.derivative(t) * s
+        return self.at(t)(x)[0]
 
     def term_value(self, n: int, x: float, t: float) -> float:
         if n >= len(self.profiles):
             return 0.0
-        tau, p = self._tau_p(t)
+        tau = self.tau.value(t)
+        p = math.exp(-tau) if self.prefactor else 1.0
         return p * tau ** n * algebra.evaluate(self.profiles[n], x)
 
     def star_part(self, n: int) -> GExpr:
@@ -436,20 +434,22 @@ def residual(problem: PDEProblem, solution: SeriesSolution,
                 "where the finite differences stay in the domain")
 
     h = FD_STEP
+    # one tau-collapse per distinct t, the finite-difference times included
+    at = {s: solution.at(s) for s in {s for _, t in pts for s in (t - h, t, t + h)}}
+
+    def v(x: float, t: float) -> float:
+        return at[t](x)[0]
+
     exact = []
     fd = []
     for x, t in pts:
-        exact.append(_equation_residual(
-            problem, x, t,
-            solution.value(x, t), solution.dt(x, t),
-            solution.dx(x, t), solution.dxdt(x, t),
-        ))
-        v = solution.value
+        u, *derivatives = at[t](x)
+        exact.append(_equation_residual(problem, x, t, u, *derivatives))
         ut = (v(x, t + h) - v(x, t - h)) / (2 * h)
         ux = (v(x + h, t) - v(x - h, t)) / (2 * h)
         uxt = (v(x + h, t + h) - v(x + h, t - h)
                - v(x - h, t + h) + v(x - h, t - h)) / (4 * h * h)
-        fd.append(_equation_residual(problem, x, t, v(x, t), ut, ux, uxt))
+        fd.append(_equation_residual(problem, x, t, u, ut, ux, uxt))
 
     return ResidualReport(
         family=problem.family,

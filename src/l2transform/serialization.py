@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from typing import Union
 
-from .algebra import GExpr, GTerm
+from .algebra import GExpr, GTerm, _is_count
 from .errors import SchemaError
 from .pde import LPoly
 from .transform import SExpr, STerm
@@ -44,11 +44,9 @@ def rational_to_string(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _require_int(value, path: str, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"expected an integer, got {value!r}", path)
-    if value < minimum:
-        raise SchemaError(f"expected an integer >= {minimum}, got {value}", path)
+def _require_int(value, path: str) -> int:
+    if not _is_count(value, 0):
+        raise SchemaError(f"expected an integer >= 0, got {value!r}", path)
     return value
 
 

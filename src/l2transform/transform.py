@@ -18,7 +18,8 @@ a single Fraction (the common-denominator technique of Knuth, TAOCP vol. 2,
 The public constructors canonicalize whatever they are given.
 `SExpr._trusted` and `GExpr._trusted` skip that for output that is canonical
 by construction (Fraction fields, nonzero coefficients, keys strictly
-ascending); only `_product`, `forward`, `inverse` and `delta_s` use them.
+ascending); only `_product`, `forward`, `inverse`, `delta_s` and
+`partial_fractions` use them.
 """
 
 from __future__ import annotations
@@ -264,7 +265,7 @@ def partial_fractions(factors: Iterable[tuple[RationalLike, int]]) -> SExpr:
     for a, m in factors:
         if not _is_count(m, 1):
             raise ValueError(f"factor multiplicity must be a positive integer, got {m!r}")
-        poles.append(pole(1, a, m))
+        poles.append(SExpr._trusted(((Fraction(1), as_rational(a), m),)))
     return _product(poles)
 
 

@@ -1,14 +1,23 @@
 """CLI tests: every subcommand, the documented exit codes, and output
 stability across repeated runs."""
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from l2transform import GExpr, GTerm, lpoly
 from l2transform.cli import main
+from l2transform.serialization import dumps, loads
+from l2transform.transform import SExpr, STerm, forward
 
 from support import child_env
 
@@ -219,3 +228,127 @@ class TestStability:
         code, out, _ = run_cli(["transform", "-"], capsys)
         assert code == 0
         assert json.loads(out)["kind"] == "sexpr"
+
+
+def run_in_process(args, docs):
+    """main(args) with each "{name}" argument replaced by a temporary file
+    holding docs[name]; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in docs.items():
+            (Path(tmp) / f"{name}.json").write_text(text)
+        args = [str(Path(tmp) / f"{a[1:-1]}.json") if a[:1] == "{" else a for a in args]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+gexprs = st.lists(st.builds(GTerm, rationals, st.integers(0, 4), rationals), max_size=4).map(
+    lambda terms: GExpr(tuple(terms)))
+proper_sexprs = st.lists(st.builds(STerm, rationals, rationals, st.integers(1, 4)), max_size=4).map(
+    lambda terms: SExpr(tuple(terms)))
+lpolys = st.dictionaries(st.integers(0, 5), rationals, max_size=4).map(lpoly)
+
+
+class TestRoundTripProperties:
+    @given(gexprs)
+    @settings(max_examples=60, deadline=None)
+    def test_gexpr_through_transform_and_invert(self, e):
+        code, out, err = run_in_process(["transform", "{e}"], {"e": dumps(e)})
+        assert (code, err) == (0, "") and loads(out) == forward(e)
+        code, out, err = run_in_process(["invert", "{s}"], {"s": out})
+        assert (code, err) == (0, "") and loads(out) == e
+
+    @given(proper_sexprs)
+    @settings(max_examples=60, deadline=None)
+    def test_sexpr_through_invert_and_transform(self, s):
+        code, out, err = run_in_process(["invert", "{s}"], {"s": dumps(s)})
+        assert (code, err) == (0, "")
+        code, out, err = run_in_process(["transform", "{e}"], {"e": out})
+        assert (code, err) == (0, "") and loads(out) == s
+
+    @given(lpolys)
+    @settings(max_examples=40, deadline=None)
+    def test_lpoly_through_solve(self, p):
+        code, out, err = run_in_process(
+            ["solve", "--family", "D", "--n", "1", "--ratio", "{p}"], {"p": dumps(p)})
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert loads(json.dumps(doc["ratio"])) == p
+        assert loads(json.dumps(doc["ratio_antiderivative"])) == p.antiderivative()
+
+
+VALID_TERMS = {
+    "gexpr": {"c": "1/2", "k": 1, "a": "-1"},
+    "sexpr": {"c": "1/2", "a": "0", "m": 1},
+    "lpoly": {"degree": 2, "c": "3"},
+}
+INTEGER_FIELD = {"gexpr": "k", "sexpr": "m", "lpoly": "degree"}
+RATIONAL_GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4))
+bad_rationals = st.one_of(
+    st.text(max_size=6).filter(lambda text: not RATIONAL_GRAMMAR.fullmatch(text)),
+    st.sampled_from(["1/0", "-3/0", "0.5", "1e3", " 1", "1/", "/2", "+1"]),
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(), max_size=2),
+)
+bad_integers = st.one_of(
+    st.booleans(), st.integers(max_value=-1), st.none(), st.text(max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def malformed_documents(draw):
+    """JSON text that `l2t transform` must refuse with exit 2: a gexpr, sexpr
+    or lpoly document with exactly one defect, or a valid document of a
+    kind other than gexpr."""
+    kind = draw(st.sampled_from(sorted(VALID_TERMS)))
+    term = dict(VALID_TERMS[kind])
+    doc = {"kind": kind, "terms": [term]}
+    defect = draw(st.sampled_from([
+        "kind", "rational", "integer", "extra field", "missing field", "terms",
+        "term", "extra top-level field", "missing top-level field", "top level",
+        "not json", "other kind",
+    ]))
+    if defect == "kind":
+        doc["kind"] = draw(json_scalars.filter(lambda k: k not in VALID_TERMS))
+    elif defect == "rational":
+        field = draw(st.sampled_from(sorted(set(term) - {INTEGER_FIELD[kind]})))
+        term[field] = draw(bad_rationals)
+    elif defect == "integer":
+        term[INTEGER_FIELD[kind]] = draw(bad_integers)
+    elif defect == "extra field":
+        term[draw(st.text(max_size=4).filter(lambda key: key not in term))] = "1"
+    elif defect == "missing field":
+        del term[draw(st.sampled_from(sorted(term)))]
+    elif defect == "terms":
+        doc["terms"] = draw(st.one_of(
+            json_scalars, st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)))
+    elif defect == "term":
+        doc["terms"] = [draw(st.one_of(json_scalars, st.lists(st.integers(), max_size=2)))]
+    elif defect == "extra top-level field":
+        doc[draw(st.text(max_size=6).filter(lambda key: key not in doc))] = []
+    elif defect == "missing top-level field":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif defect == "top level":
+        doc = draw(st.one_of(json_scalars, st.lists(json_scalars, max_size=3)))
+    elif defect == "not json":
+        return draw(st.sampled_from(["", "{", "{not json}", "[1,", "kind: gexpr"]))
+    elif kind == "gexpr":  # other kind
+        doc = {"kind": "sexpr", "terms": [VALID_TERMS["sexpr"]]}
+    return json.dumps(doc)
+
+
+class TestSchemaFuzz:
+    @given(malformed_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_document_exits_2_with_one_error_line(self, text):
+        code, out, err = run_in_process(["transform", "{doc}"], {"doc": text})
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        doc = json.loads(line)
+        assert set(doc) == {"code", "message"} and doc["code"] == 2

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from l2transform import (
-    Convention, EXP_HALF, Family, GridDomainError, LPoly, algebra,
+    Convention, EXP_HALF, Family, GExpr, GTerm, GridDomainError, LPoly, algebra,
     classify_exact, default_grid, evaluate, lpoly, profile_gexpr, residual,
     solve_family_a, solve_family_b, solve_family_c, solve_family_d,
     star_power, truncation_bound,
@@ -424,6 +424,50 @@ class TestProfiles:
     def test_family_a_profile_needs_positive_time(self):
         with pytest.raises(ValueError):
             profile_gexpr(solve_family_a(5), F(0))
+
+
+def _weighted_series(sol, weights) -> GExpr:
+    """sum_n w_n X_n over the solution's exact profiles."""
+    return GExpr(tuple(GTerm(term.c * w, term.k, term.a)
+                       for w, profile in zip(weights, sol.profiles) for term in profile.terms))
+
+
+class TestJet:
+    """`at(t0)(x)` against the exact algebra: S = sum tau^n X_n, its
+    tau-derivative, and delta_x of both, built exactly at rational t0 and
+    then evaluated in floats, within 1e-12 of their term-wise envelopes."""
+
+    CASES = {
+        "A": lambda: solve_family_a(12),
+        "B-derived": lambda: solve_family_b(M_1PT, 12),
+        "B-paper": lambda: solve_family_b(M_1PT, 12, Convention.PAPER_LITERAL),
+        "C-derived": lambda: solve_family_c(M_1PT, 12),
+        "C-paper": lambda: solve_family_c(M_1PT, 12, Convention.PAPER_LITERAL),
+        "D": lambda: solve_family_d(M_1PT),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("t0", [F(1, 2), F(1), F(3, 2)])
+    def test_jet_matches_the_exact_algebra(self, name, t0):
+        sol = self.CASES[name]()
+        tau = sol.tau.exact(t0)
+        tau_t = -2 / t0 ** 3 if sol.ratio is None else sol.ratio.evaluate_exact(t0)
+        orders = range(len(sol.profiles))
+        s = _weighted_series(sol, [tau ** n for n in orders])
+        s_tau = _weighted_series(sol, [n * tau ** (n - 1) if n else 0 for n in orders])
+        if sol.prefactor:
+            # u = e^(-tau) S, so u_t = tau' e^(-tau) (S_tau - S)
+            p, s_tau = math.exp(-float(tau)), s_tau - s
+        else:
+            p = 1.0
+            assert s == profile_gexpr(sol, t0)
+        oracles = (s, algebra.scale(s_tau, tau_t),
+                   algebra.delta_x(s), algebra.scale(algebra.delta_x(s_tau), tau_t))
+        jet = sol.at(float(t0))
+        for x in (0.3, 1.0, 1.7, 2.5):
+            for got, g, w in zip(jet(x), oracles, (1.0, 1.0, x, x)):
+                envelope = math.exp(algebra.log_abs_envelope(g, x)) if g else 0.0
+                assert abs(got - p * w * evaluate(g, x)) <= 1e-12 * p * w * envelope
 
 
 class TestProblem:

@@ -5,12 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from l2transform import SchemaError, algebra, lpoly
+from l2transform import GTerm, LPoly, SchemaError, algebra, lpoly
 from l2transform.serialization import (
     dumps, loads, parse_document, rational_from_string, rational_to_string,
     render_json,
 )
-from l2transform.transform import pole
+from l2transform.transform import STerm, pole
 
 CORPUS = [
     '{"kind":"gexpr","terms":[]}',
@@ -86,6 +86,22 @@ class TestSchemaErrors:
     def test_boolean_is_not_an_integer(self):
         with pytest.raises(SchemaError):
             loads('{"kind":"gexpr","terms":[{"c":"1","k":true,"a":"0"}]}')
+
+    # one integer rule for the schema and the constructors: an int >= 0
+    # that is not a bool
+    @pytest.mark.parametrize("bad", [True, -1, 1.5, "1"])
+    @pytest.mark.parametrize("kind, field, term, build", [
+        ("gexpr", "k", {"c": "1", "k": 0, "a": "0"}, lambda v: GTerm(F(1), v, F(0))),
+        ("sexpr", "m", {"c": "1", "a": "0", "m": 1}, lambda v: STerm(F(1), F(0), v)),
+        ("lpoly", "degree", {"degree": 0, "c": "1"}, lambda v: LPoly(((v, F(1)),))),
+    ])
+    def test_integer_fields_follow_the_constructor_rule(self, bad, kind, field, term, build):
+        doc = json.dumps({"kind": kind, "terms": [{**term, field: bad}]})
+        with pytest.raises(SchemaError) as exc:
+            loads(doc)
+        assert exc.value.path == f"$.terms[0].{field}"
+        with pytest.raises(ValueError):
+            build(bad)
 
     def test_invalid_json(self):
         with pytest.raises(SchemaError):

@@ -198,6 +198,10 @@ class TestRegion:
         assert tf.power(s2, 3).region == F(-1)
         assert tf.power(tf.constant(2), 2).region is None
 
+    def test_partial_fractions_refuse_a_float_pole(self):
+        with pytest.raises(TypeError):
+            partial_fractions([(0.5, 1)])
+
     def test_partial_fractions_have_no_region(self):
         assert partial_fractions([(0, 1), (F(1, 2), 2)]).region is None
         assert partial_fractions([]).region is None
