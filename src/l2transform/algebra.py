@@ -138,10 +138,6 @@ def gaussian(a: RationalLike, c: RationalLike = 1, k: int = 0) -> GExpr:
     return GExpr((GTerm(as_rational(c), k, as_rational(a)),))
 
 
-def add(e1: GExpr, e2: GExpr) -> GExpr:
-    return e1 + e2
-
-
 def scale(e: GExpr, c: RationalLike) -> GExpr:
     c = as_rational(c)
     return GExpr(tuple(GTerm(t.c * c, t.k, t.a) for t in e.terms))

@@ -23,7 +23,6 @@ from .errors import (
     SchemaError,
 )
 from .serialization import (
-    loads,
     object_to_document,
     render_json,
     rational_from_string,
@@ -48,11 +47,10 @@ def _read_source(path: str) -> str:
 
 
 def _load_typed(path: str, kind: str):
-    obj = loads(_read_source(path))
-    got = serialization.object_to_document(obj)["kind"]
-    if got != kind:
-        raise SchemaError(f"expected a {kind} document, got {got}", "$.kind")
-    return obj
+    doc = serialization.parse_document(_read_source(path))
+    if doc["kind"] != kind:
+        raise SchemaError(f"expected a {kind} document, got {doc['kind']}", "$.kind")
+    return serialization.document_to_object(doc)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:

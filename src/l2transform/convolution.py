@@ -5,7 +5,7 @@
 whose transform is the product of the transforms.  The symbolic route goes
 through the transform domain (the algebra is closed under the operation by
 the product theorem); the defining integral is kept as the independent
-numeric oracle.
+numeric oracle, computed in v = (x/t)^2 on [0, 1].
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ Evaluator = Union[GExpr, Callable[[float], float]]
 
 # e^(x^2/2), the generator of the star-power family.
 EXP_HALF = algebra.gaussian(Fraction(1, 2))
-
-# Relative offset of the split point t*(1 - 2**-20) below which the defining
-# integral is computed in x and above which in w = t^2 - x^2, avoiding the
-# cancellation in t^2 - x^2 near x = t.
-_SPLIT = 1.0 - 2.0 ** -20
 
 
 def convolve_symbolic(f: GExpr, g: GExpr) -> GExpr:
@@ -51,19 +46,18 @@ def _as_callable(f: Evaluator) -> Callable[[float], float]:
 
 def convolve_numeric(f: Evaluator, g: Evaluator, t: float,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Adaptive quadrature of the defining integral at argument t >= 0."""
+    """Adaptive quadrature of the defining integral at argument t >= 0.
+
+    x = t sqrt(v) gives x dx = (t^2/2) dv and sqrt(t^2 - x^2) = t sqrt(1 - v):
+    one integral over v in [0, 1], free of the cancellation in t^2 - x^2 near
+    x = t.  Elements of the algebra, functions of x^2, give an integrand entire
+    in v; odd powers of x in a bare callable give sqrt-type ends, so more panels.
+    t^2/2 stays inside, so abs_tol applies to the convolution's own value.
+    """
     if t < 0:
         raise ValueError("convolution argument t must be nonnegative")
     if t == 0:
         return 0.0
     fe, ge = _as_callable(f), _as_callable(g)
-    x_split = t * _SPLIT
-
-    def head(x: float) -> float:
-        return x * fe(math.sqrt(t * t - x * x)) * ge(x)
-
-    def tail(w: float) -> float:
-        return 0.5 * fe(math.sqrt(w)) * ge(math.sqrt(t * t - w))
-
-    w_hi = t * t - x_split * x_split
-    return integrate_interval(head, 0.0, x_split, cfg) + integrate_interval(tail, 0.0, w_hi, cfg)
+    return integrate_interval(
+        lambda v: 0.5 * t * t * fe(t * math.sqrt(1.0 - v)) * ge(t * math.sqrt(v)), 0.0, 1.0, cfg)

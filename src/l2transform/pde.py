@@ -244,6 +244,7 @@ class SeriesSolution:
             self.anti.evaluate, self.ratio.evaluate, self.anti.evaluate_exact)
         self.prefactor = prefactor
         self._table = _HornerTable(self.profiles)
+        self._latest = (None, None)  # (t, at(t)) of the latest value call
 
     def at(self, t: float) -> Callable[[float], tuple[float, float, float, float]]:
         """x -> (u, u_t, u_x, u_xt) at time t.  One collapse of tau gives the
@@ -272,7 +273,13 @@ class SeriesSolution:
         return jet
 
     def value(self, x: float, t: float) -> float:
-        return self.at(t)(x)[0]
+        """u(x, t); points at one t share one collapse.  `_latest` is read and
+        replaced as one tuple, so a race costs at most an extra collapse."""
+        latest_t, jet = self._latest
+        if latest_t != t:
+            jet = self.at(t)
+            self._latest = (t, jet)
+        return jet(x)[0]
 
     def term_value(self, n: int, x: float, t: float) -> float:
         if n >= len(self.profiles):

@@ -153,7 +153,8 @@ def _tail_bound(envelope: list[tuple[float, int, float]], x: float) -> float:
 
 def truncation_cutoff(envelope: list[tuple[float, int, float]], tail_epsilon: float) -> float:
     """Smallest cutoff (up to bisection width) with envelope tail below
-    tail_epsilon, found by doubling then bisection."""
+    tail_epsilon, found by doubling then bisection, which stops once the
+    midpoint rounds to an end of the bracket, where no step changes it."""
     x = 1.0
     doubles = 0
     while _tail_bound(envelope, x) >= tail_epsilon:
@@ -166,6 +167,8 @@ def truncation_cutoff(envelope: list[tuple[float, int, float]], tail_epsilon: fl
         lo = 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if _tail_bound(envelope, mid) < tail_epsilon:
             hi = mid
         else:

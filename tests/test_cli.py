@@ -164,8 +164,9 @@ class TestExitCodes:
         assert code == 2
 
     def test_wrong_kind_is_2(self, files, capsys):
-        code, _, _ = run_cli(["transform", files["const_sexpr"]], capsys)
+        code, _, err = run_cli(["transform", files["const_sexpr"]], capsys)
         assert code == 2
+        assert json.loads(err)["message"] == "$.kind: expected a gexpr document, got sexpr"
 
     def test_usage_error_is_2(self, files, capsys):
         code, _, _ = run_cli(["solve", "--family", "B", "--n", "5"], capsys)

@@ -246,6 +246,27 @@ class TestFamilyC:
             assert rep.fd_max_deviation <= 1e-4
 
 
+class TestValue:
+    def test_value_is_the_jet_while_t_alternates(self):
+        sol = solve_family_c(M_1PT, 30, Convention.PAPER_LITERAL)
+        for t in (1.0, 0.5, 1.0, 1.0, 2.0, 0.5):
+            for x in (0.0, 0.7, 1.3):
+                assert sol.value(x, t) == sol.at(t)(x)[0]
+
+    def test_one_collapse_per_t(self, monkeypatch):
+        sol = solve_family_c(M_ONE, 60, Convention.PAPER_LITERAL)
+        collapse, calls = sol._table.collapse, []
+
+        def counted(tau):
+            calls.append(tau)
+            return collapse(tau)
+
+        monkeypatch.setattr(sol._table, "collapse", counted)
+        for i in range(40):
+            sol.value(0.5 + 0.1 * i, 1.0)
+        assert len(calls) == 1
+
+
 class TestFamilyD:
     def test_zero_ratio(self):
         sol = solve_family_d(lpoly({}))

@@ -98,6 +98,34 @@ class TestTruncation:
         assert _tail_bound(envelope, x) < 1e-16
         assert _tail_bound(envelope, 0.9 * x) >= 1e-16
 
+    def test_cutoff_matches_full_80_step_bisection(self):
+        from l2transform.quadrature import _tail_bound
+
+        def reference(envelope, tail_epsilon):
+            # truncation_cutoff as it was, bisecting all 80 steps
+            x = 1.0
+            doubles = 0
+            while _tail_bound(envelope, x) >= tail_epsilon:
+                x *= 2.0
+                doubles += 1
+            lo, hi = x / 2.0, x
+            if doubles == 0:
+                lo = 0.0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if _tail_bound(envelope, mid) < tail_epsilon:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+
+        rng = random.Random(2080)
+        for _ in range(300):
+            envelope = [(10.0 ** rng.uniform(-30, 6), rng.randint(0, 5), rng.uniform(0.05, 5.0))
+                        for _ in range(rng.randint(1, 3))]
+            for eps in (1e-16, 1e-8):
+                assert truncation_cutoff(envelope, eps).hex() == reference(envelope, eps).hex()
+
 
 class TestConfig:
     def test_rejects_nonpositive_tolerances(self):
@@ -162,7 +190,24 @@ class TestRule:
         f, g = _criterion5_pairs(1)[0]
         for t in (0.5, 1.0, 2.0):
             convolve_numeric(f, g, t)
-        assert [len(calls) for *_, calls in pieces] == [21] * 6
+        assert [len(calls) for *_, calls in pieces] == [21] * 3
+
+    def test_every_criterion5_convolution_takes_one_panel(self, pieces):
+        # both factors are entire in v = (x/t)^2, so one G10/K21 panel suffices
+        for f, g in _criterion5_pairs(50):
+            for t in (0.5, 1.0, 2.0):
+                convolve_numeric(f, g, t)
+        assert [(lo, hi, len(calls)) for _, lo, hi, _, calls in pieces] == [(0.0, 1.0, 21)] * 150
+
+    @pytest.mark.parametrize("f, g, exact", [
+        (lambda x: x, lambda x: 1.0, lambda t: t ** 3 / 3),
+        (lambda x: x, lambda x: x, lambda t: math.pi * t ** 4 / 16),
+        (math.sqrt, lambda x: 1.0, lambda t: 0.4 * t ** 2.5),
+    ], ids=["x*1", "x*x", "sqrt(x)*1"])
+    def test_bare_callables_with_odd_powers(self, f, g, exact):
+        # not functions of x^2, so sqrt-type endpoint behaviour in v
+        for t in (0.5, 2.0):
+            assert convolve_numeric(f, g, t) == pytest.approx(exact(t), rel=1e-12)
 
     def test_nan_integrand_fails(self):
         for fn in (lambda x: math.nan, lambda x: math.nan if x == 0.5 else 1.0):
@@ -170,12 +215,12 @@ class TestRule:
                 integrate_interval(fn, 0.0, 1.0)
 
     def test_budget_counts_subintervals(self, pieces):
-        # this criterion-5 piece converges after one bisection: two subintervals
+        # this criterion-5 convolution converges after one bisection: two subintervals
         f, g = _criterion5_pairs(7)[6]
-        convolve_numeric(f, g, 2.0, QuadratureConfig(max_refinements=2))
+        convolve_numeric(f, g, 4.0, QuadratureConfig(max_refinements=2))
         assert len(pieces[0][-1]) == 3 * 21
         with pytest.raises(QuadratureFailureError, match="within 1 subintervals"):
-            convolve_numeric(f, g, 2.0, QuadratureConfig(max_refinements=1))
+            convolve_numeric(f, g, 4.0, QuadratureConfig(max_refinements=1))
 
     def test_zero_valued_convolution_stops_on_round_off(self, pieces):
         # exact value 0, so only abs_tol is left, below the round-off floor
@@ -198,7 +243,7 @@ class TestAgainstQuadpack:
         for f, g in _criterion5_pairs(50):
             for t in (0.5, 1.0, 2.0):
                 convolve_numeric(f, g, t)
-        assert len(pieces) == 30 + 300
+        assert len(pieces) == 30 + 150
         for fn, lo, hi, cfg, _ in pieces:
             ref = quad(fn, lo, hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
                        limit=cfg.max_refinements)[0]
