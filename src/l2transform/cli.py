@@ -47,10 +47,7 @@ def _read_source(path: str) -> str:
 
 
 def _load_typed(path: str, kind: str):
-    doc = serialization.parse_document(_read_source(path))
-    if doc["kind"] != kind:
-        raise SchemaError(f"expected a {kind} document, got {doc['kind']}", "$.kind")
-    return serialization.document_to_object(doc)
+    return serialization.loads(_read_source(path), kind)
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -65,7 +62,7 @@ def _parse_samples(text: str) -> list[float]:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise _UsageError(f"samples must be 'x0,x1,count', got {text!r}") from exc
-    if n < 1 or hi <= lo:
+    if n < 1 or not hi > lo:  # NaN included
         raise _UsageError("samples need x1 > x0 and count >= 1")
     return _linspace(lo, hi, n)
 

@@ -54,7 +54,7 @@ def convolve_numeric(f: Evaluator, g: Evaluator, t: float,
     in v; odd powers of x in a bare callable give sqrt-type ends, so more panels.
     t^2/2 stays inside, so abs_tol applies to the convolution's own value.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("convolution argument t must be nonnegative")
     if t == 0:
         return 0.0

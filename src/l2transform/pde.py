@@ -397,9 +397,9 @@ def default_grid(x_lo: float = 0.1, x_hi: float = 2.0, nx: int = 10,
     """Log-spaced grid over [x_lo, x_hi] x [t_lo, t_hi], excluding the
     singular axes x = 0 and t = 0: every bound must be > 0 (GridDomainError)
     and both counts >= 1 (ValueError)."""
-    if min(x_lo, x_hi, t_lo, t_hi) <= 0:
+    if not all(bound > 0 for bound in (x_lo, x_hi, t_lo, t_hi)):  # NaN included
         raise GridDomainError(f"grid bounds must be > 0: [{x_lo}, {x_hi}] x [{t_lo}, {t_hi}]")
-    if nx < 1 or nt < 1:
+    if not (_is_count(nx, 1) and _is_count(nt, 1)):
         raise ValueError(f"grid counts must be >= 1, got nx = {nx}, nt = {nt}")
 
     def logspace(lo: float, hi: float, n: int) -> list[float]:
@@ -496,11 +496,11 @@ def _geometric_tail(term_bound: Callable[[int], float],
 def truncation_bound(solution: SeriesSolution, x_max: float,
                      t_range: tuple[float, float]) -> float:
     """Upper bound on the dropped series tail sum_{n > depth} |term_n| over
-    the box [0, x_max] x [t_lo, t_hi], by ratio-test majorization."""
-    t_lo, t_hi = float(t_range[0]), float(t_range[1])
-    if t_hi < t_lo:
-        raise ValueError("t_range must be ordered (t_lo, t_hi)")
-    x_max = float(x_max)
+    the box [0, x_max] x [t_lo, t_hi], by ratio-test majorization.  The box
+    needs 0 <= t_lo <= t_hi and x_max >= 0 (t_lo > 0 for family A)."""
+    t_lo, t_hi, x_max = float(t_range[0]), float(t_range[1]), float(x_max)
+    if not (0 <= t_lo <= t_hi and x_max >= 0):
+        raise ValueError(f"need 0 <= t_lo <= t_hi and x_max >= 0, got {t_range}, {x_max}")
     n0 = solution.depth + 1
     fam = solution.problem.family
 

@@ -191,7 +191,7 @@ def l2_quadrature(
     envelope constant C) bounding |f| <= C exp(rho x^2).  The integral
     diverges unless s**2 > rho.
     """
-    if s <= 0:
+    if not s > 0:
         raise ValueError("s must be strictly positive")
     sigma = s * s
 

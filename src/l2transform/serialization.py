@@ -6,10 +6,12 @@ Three document kinds mirror the three expression types:
     {"kind": "sexpr", "terms": [{"c": "1/2", "a": "0", "m": 1}, ...]}
     {"kind": "lpoly", "terms": [{"degree": 1, "c": "2"}, ...]}
 
-Rationals travel as strings "p" or "p/q" so no value ever passes through a
-float.  Parsing a canonical document and serializing the result reproduces
-the input byte for byte; schema violations raise SchemaError carrying the
-JSON path of the offending field.
+Each kind is one row of the table `_KINDS`.  `loads` validates and builds
+in one walk over a document's row, and `object_to_document` writes from the
+same rows.  Rationals travel as strings "p" or "p/q" so no value ever passes
+through a float.  Parsing a canonical document and serializing the result
+reproduces the input byte for byte; schema violations raise SchemaError
+carrying the JSON path of the offending field.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .algebra import GExpr, GTerm, _is_count
 from .errors import SchemaError
@@ -38,19 +40,30 @@ def rational_from_string(text: str, path: str = "$") -> Fraction:
 
 
 def rational_to_string(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
-def _require_int(value, path: str) -> int:
+def _count(value, path: str) -> int:
     if not _is_count(value, 0):
         raise SchemaError(f"expected an integer >= 0, got {value!r}", path)
     return value
 
 
-def _require_keys(obj: dict, keys: set[str], path: str) -> None:
+# One row per kind: the expression type (built from a tuple of terms), the
+# term constructor (called with the field values in document order), the
+# expression's terms as such value tuples, and the fields in document order,
+# each mapped to its reader.
+_KINDS = {
+    "gexpr": (GExpr, GTerm, lambda e: ((t.c, t.k, t.a) for t in e.terms),
+              {"c": rational_from_string, "k": _count, "a": rational_from_string}),
+    "sexpr": (SExpr, STerm, lambda e: ((t.c, t.a, t.m) for t in e.terms),
+              {"c": rational_from_string, "a": rational_from_string, "m": _count}),
+    "lpoly": (LPoly, lambda degree, c: (degree, c), lambda p: p.coefficients,
+              {"degree": _count, "c": rational_from_string}),
+}
+
+
+def _require_keys(obj: dict, keys, path: str) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"expected an object, got {type(obj).__name__}", path)
     missing = keys - obj.keys()
@@ -61,77 +74,42 @@ def _require_keys(obj: dict, keys: set[str], path: str) -> None:
         raise SchemaError(f"unknown field(s) {sorted(extra)}", path)
 
 
-def parse_document(text: str) -> dict:
-    """Parse and validate a document, returning the raw validated dict."""
+def loads(text: str, kind: Optional[str] = None) -> Expression:
+    """Validate a document and build its expression in one walk.  With
+    `kind` given, a document of another kind is refused at `$.kind` before
+    any term is read."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", "$") from exc
     _require_keys(doc, {"kind", "terms"}, "$")
-    kind = doc["kind"]
-    if kind not in ("gexpr", "sexpr", "lpoly"):
-        raise SchemaError(f"unknown kind {kind!r}", "$.kind")
+    name = doc["kind"]
+    if not isinstance(name, str) or name not in _KINDS:
+        raise SchemaError(f"unknown kind {name!r}", "$.kind")
+    if kind is not None and name != kind:
+        raise SchemaError(f"expected a {kind} document, got {name}", "$.kind")
     terms = doc["terms"]
     if not isinstance(terms, list):
         raise SchemaError("terms must be an array", "$.terms")
-    fields = {"gexpr": {"c", "k", "a"}, "sexpr": {"c", "a", "m"}, "lpoly": {"degree", "c"}}[kind]
+    expression, build_term, _, fields = _KINDS[name]
+    built = []
     for i, term in enumerate(terms):
         path = f"$.terms[{i}]"
-        _require_keys(term, fields, path)
-        rational_from_string(term["c"], f"{path}.c")
-        if kind == "gexpr":
-            rational_from_string(term["a"], f"{path}.a")
-            _require_int(term["k"], f"{path}.k")
-        elif kind == "sexpr":
-            rational_from_string(term["a"], f"{path}.a")
-            _require_int(term["m"], f"{path}.m")
-        else:
-            _require_int(term["degree"], f"{path}.degree")
-    return doc
-
-
-def document_to_object(doc: dict) -> Expression:
-    kind = doc["kind"]
-    if kind == "gexpr":
-        return GExpr(tuple(
-            GTerm(Fraction(t["c"]), t["k"], Fraction(t["a"])) for t in doc["terms"]
-        ))
-    if kind == "sexpr":
-        return SExpr(tuple(
-            STerm(Fraction(t["c"]), Fraction(t["a"]), t["m"]) for t in doc["terms"]
-        ))
-    return LPoly(tuple((t["degree"], Fraction(t["c"])) for t in doc["terms"]))
+        _require_keys(term, fields.keys(), path)
+        built.append(build_term(*(read(term[field], f"{path}.{field}")
+                                  for field, read in fields.items())))
+    return expression(tuple(built))
 
 
 def object_to_document(obj: Expression) -> dict:
-    if isinstance(obj, GExpr):
-        return {
-            "kind": "gexpr",
-            "terms": [
-                {"c": rational_to_string(t.c), "k": t.k, "a": rational_to_string(t.a)}
-                for t in obj.terms
-            ],
-        }
-    if isinstance(obj, SExpr):
-        return {
-            "kind": "sexpr",
-            "terms": [
-                {"c": rational_to_string(t.c), "a": rational_to_string(t.a), "m": t.m}
-                for t in obj.terms
-            ],
-        }
-    if isinstance(obj, LPoly):
-        return {
-            "kind": "lpoly",
-            "terms": [
-                {"degree": d, "c": rational_to_string(c)} for d, c in obj.coefficients
-            ],
-        }
+    for name, (expression, _, term_values, fields) in _KINDS.items():
+        if isinstance(obj, expression):
+            return {"kind": name, "terms": [  # str() of a Fraction is its "p" or "p/q" form
+                {field: value if read is _count else str(value)
+                 for (field, read), value in zip(fields.items(), values)}
+                for values in term_values(obj)
+            ]}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def loads(text: str) -> Expression:
-    return document_to_object(parse_document(text))
 
 
 def dumps(obj: Expression) -> str:

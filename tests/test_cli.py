@@ -178,6 +178,7 @@ class TestExitCodes:
         "0.5,2,2,0.5,1,-3",     # no t points at all
         "0.5,2,0,0.5,1,2",      # no x points at all
         "1e-6,1,2,0.5,1,2",     # x within the finite-difference step of 0
+        "0.5,2,2,nan,1,2",      # NaN t bound
     ])
     def test_bad_residual_grid_is_2(self, grid, files, capsys):
         code, out, err = run_cli(
@@ -201,6 +202,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         doc = json.loads(err)
         assert set(doc) == {"code", "message"} and "$.terms[0].c" in doc["message"]
+
+    @pytest.mark.parametrize("s", ["nan", "0", "-1"])
+    def test_quad_at_a_bad_s_is_2(self, s, files, capsys):
+        code, out, err = run_cli(["quad", files["one"], "--s", s], capsys)
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        doc = json.loads(line)
+        assert set(doc) == {"code", "message"} and doc["code"] == 2
+
+    @pytest.mark.parametrize("samples", ["nan,2,10", "0.5,nan,10", "2,0.5,10", "0.5,2,0"])
+    def test_bound_check_at_bad_samples_is_2(self, samples, files, capsys):
+        code, out, err = run_cli(
+            ["bound-check", files["exp_x2"], files["exp_half"], "--samples", samples], capsys)
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert set(json.loads(line)) == {"code", "message"}
 
     def test_divergent_integral_is_3(self, files, capsys):
         code, _, err = run_cli(["quad", files["exp_x2"], "--s", "1"], capsys)

@@ -48,9 +48,10 @@ class TestNumeric:
     def test_empty_interval(self):
         assert convolve_numeric(ONE, ONE, 0.0) == 0.0
 
-    def test_negative_argument_rejected(self):
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_negative_argument_rejected(self, t):
         with pytest.raises(ValueError):
-            convolve_numeric(ONE, ONE, -1.0)
+            convolve_numeric(ONE, ONE, t)
 
     def test_callable_arguments(self):
         got = convolve_numeric(lambda x: 1.0, lambda x: x * x, 1.0)

@@ -306,11 +306,12 @@ class TestResidualHarness:
         assert len(rep.exact) == 1
 
     def test_default_grid_preconditions(self):
-        for bounds in ((0.0, 2.0, 0.5, 2.0), (0.1, 2.0, 0.0, 1.0), (-1.0, 2.0, 0.5, 2.0)):
+        for bounds in ((0.0, 2.0, 0.5, 2.0), (0.1, 2.0, 0.0, 1.0), (-1.0, 2.0, 0.5, 2.0),
+                       (0.1, 2.0, math.nan, 1.0), (0.1, math.nan, 0.5, 1.0)):
             x_lo, x_hi, t_lo, t_hi = bounds
             with pytest.raises(GridDomainError):
                 default_grid(x_lo, x_hi, 2, t_lo, t_hi, 2)
-        for nx, nt in ((0, 2), (2, -3)):
+        for nx, nt in ((0, 2), (2, -3), (True, 2), (2, True), (2.5, 2), (2, 2.5)):
             with pytest.raises(ValueError):
                 default_grid(0.5, 2.0, nx, 0.5, 1.0, nt)
         assert default_grid(0.5, 2.0, 1, 0.5, 1.0, 1) == [(0.5, 0.5)]
@@ -400,6 +401,29 @@ class TestTruncationBound:
 
     def test_family_d_bound_is_zero(self):
         assert truncation_bound(solve_family_d(M_ONE), 2.0, (0.5, 2.0)) == 0.0
+
+    @pytest.mark.parametrize("x_max, t_range", [
+        (2.0, (-3.0, -1.0)), (2.0, (-1.0, 1.0)), (2.0, (2.0, 1.0)), (-1.0, (0.5, 2.0)),
+        (math.nan, (0.5, 2.0)), (2.0, (math.nan, 2.0)), (2.0, (0.5, math.nan)),
+    ])
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_family_a(10),
+        lambda: solve_family_b(M_ONE, 10, Convention.DERIVED),
+        lambda: solve_family_b(M_ONE, 10, Convention.PAPER_LITERAL),
+        lambda: solve_family_c(M_ONE, 10, Convention.DERIVED),
+        lambda: solve_family_d(M_ONE),
+    ], ids=["A", "B-derived", "B-paper", "C-derived", "D"])
+    def test_box_outside_the_quadrant_rejected(self, solve, x_max, t_range):
+        # below t = 0 the coefficient bound sum |c_d| t_hi**d is no bound,
+        # and families B and C used to return negative "upper bounds"
+        with pytest.raises(ValueError):
+            truncation_bound(solve(), x_max, t_range)
+
+    def test_box_may_touch_t_zero_except_for_family_a(self):
+        assert truncation_bound(solve_family_b(M_ONE, 10), 2.0, (0.0, 1.0)) > 0
+        assert truncation_bound(solve_family_c(M_ONE, 10), 0.0, (0.0, 0.0)) >= 0
+        with pytest.raises(ValueError):
+            truncation_bound(solve_family_a(10), 2.0, (0.0, 1.0))
 
 
 class TestProfiles:

@@ -56,9 +56,10 @@ class TestEvaluatorPath:
         with pytest.raises(DivergentIntegralError):
             l2_quadrature(lambda x: math.exp(x * x), 1.0, growth_rate=1.0)
 
-    def test_nonpositive_s_rejected(self):
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+    def test_nonpositive_s_rejected(self, s):
         with pytest.raises(ValueError):
-            l2_quadrature(algebra.constant(1), 0.0)
+            l2_quadrature(algebra.constant(1), s)
 
 
 class TestAgreement:

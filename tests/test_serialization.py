@@ -5,10 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from l2transform import GTerm, LPoly, SchemaError, algebra, lpoly
+from l2transform import GTerm, LPoly, SchemaError, algebra, lpoly, serialization
 from l2transform.serialization import (
-    dumps, loads, parse_document, rational_from_string, rational_to_string,
-    render_json,
+    dumps, loads, rational_from_string, rational_to_string, render_json,
 )
 from l2transform.transform import STerm, pole
 
@@ -30,6 +29,18 @@ class TestRoundTrip:
     @pytest.mark.parametrize("doc", CORPUS)
     def test_serialize_after_parse_is_identity(self, doc):
         assert dumps(loads(doc)) == doc
+
+    @pytest.mark.parametrize("doc", CORPUS)
+    def test_typed_parse_of_its_own_kind(self, doc):
+        assert dumps(loads(doc, json.loads(doc)["kind"])) == doc
+
+    def test_corpus_covers_every_kind(self):
+        assert {json.loads(doc)["kind"] for doc in CORPUS} == set(serialization._KINDS)
+
+    def test_lpoly_degrees_out_of_order_canonicalize(self):
+        doc = '{"kind":"lpoly","terms":[{"degree":3,"c":"-2/5"},{"degree":0,"c":"1"}]}'
+        assert loads(doc) == loads(CORPUS[5])
+        assert dumps(loads(doc)) == CORPUS[5]
 
     def test_parse_after_serialize_is_identity(self):
         for obj in (algebra.gaussian("1/2", c=F(-2, 3), k=1),
@@ -65,10 +76,23 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError):
             loads('{"kind":"gexpr","terms":[{"c":1,"k":0,"a":"0"}]}')
 
-    def test_unknown_kind(self):
+    @pytest.mark.parametrize("kind", ["wexpr", [], {}, 1, None])
+    def test_unknown_kind(self, kind):
         with pytest.raises(SchemaError) as exc:
-            loads('{"kind":"wexpr","terms":[]}')
+            loads(json.dumps({"kind": kind, "terms": []}))
         assert exc.value.path == "$.kind"
+
+    @pytest.mark.parametrize("terms", [[{"c": "1/0", "a": "0", "m": -1}], [1], {}])
+    @pytest.mark.parametrize("kind", ["gexpr", "lpoly"])
+    def test_kind_is_checked_before_any_term(self, kind, terms):
+        doc = json.dumps({"kind": "sexpr", "terms": terms})
+        with pytest.raises(SchemaError) as exc:
+            loads(doc, kind)
+        assert (exc.value.path, str(exc.value)) == (
+            "$.kind", f"$.kind: expected a {kind} document, got sexpr")
+        with pytest.raises(SchemaError) as exc:
+            loads(doc)
+        assert exc.value.path.startswith("$.terms")
 
     def test_missing_field(self):
         with pytest.raises(SchemaError) as exc:
@@ -105,11 +129,11 @@ class TestSchemaErrors:
 
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
-            parse_document("{not json")
+            loads("{not json")
 
     def test_non_object_top_level(self):
         with pytest.raises(SchemaError):
-            parse_document("[1,2]")
+            loads("[1,2]")
 
 
 class TestRationalStrings:
