@@ -5,8 +5,8 @@
 over the algebra of finite sums c x**(2k) exp(a x^2) on [0, inf).  The
 package computes forward and inverse transforms exactly (rational
 coefficients throughout), implements the matching half-line convolution
-calculus, solves four PDE families by transform methods with a residual
-verification harness, classifies growth orders, and checks everything
+calculus, solves four rows of one PDE class by the transform method with a
+residual verification harness, classifies growth orders, and checks everything
 against independent numerical quadrature.
 """
 

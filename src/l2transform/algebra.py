@@ -14,11 +14,14 @@ Scalars are `fractions.Fraction` throughout; floating point enters only in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
+
+_NORMAL_MIN = sys.float_info.min  # the smallest positive normal double
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -160,7 +163,9 @@ def evaluate(e: GExpr, x: float) -> float:
     double range (an OverflowError, or a sum that is not finite) is the sum
     redone term-wise in log space, sign * exp(log|c| + 2k log x + a x^2),
     so that OverflowError, the documented overflow report, is raised only
-    when the value itself leaves the double range.
+    when the value itself leaves the double range.  A sum below the normal
+    range, where doubles lose relative precision, is redone exactly from the
+    terms' float exponentials and rounded once.
     """
     if x < 0:
         raise ValueError("the algebra lives on [0, inf)")
@@ -168,8 +173,11 @@ def evaluate(e: GExpr, x: float) -> float:
         total = 0.0
         for t in e.terms:
             total += float(t.c) * x ** (2 * t.k) * math.exp(float(t.a) * x * x)
-        if math.isfinite(total):
+        if _NORMAL_MIN <= abs(total) < math.inf:
             return total
+        if abs(total) < _NORMAL_MIN:
+            return float(sum((t.c * Fraction(x) ** (2 * t.k) * Fraction(math.exp(float(t.a) * x * x))
+                              for t in e.terms), Fraction(0)))
     except OverflowError:
         pass
     if x == 0:
@@ -199,22 +207,6 @@ def delta_x(e: GExpr) -> GExpr:
 def limit_at_zero(e: GExpr) -> Fraction:
     """lim_{x -> 0+} e(x); only k = 0 terms survive."""
     return sum((t.c for t in e.terms if t.k == 0), Fraction(0))
-
-
-def log_abs_envelope(e: GExpr, x: float) -> float:
-    """log of the term-wise absolute-value envelope sum(|c| x^(2k) e^(a x^2)).
-
-    Computed in log space so growth classification can probe x far beyond
-    the overflow range of :func:`evaluate`.  Returns -inf for the zero
-    expression.  An upper bound for log|e(x)|.
-    """
-    if not e.terms:
-        return -math.inf
-    if x <= 0:
-        raise ValueError("envelope is defined for x > 0")
-    logs = _term_logs(e, x)
-    top = max(logs)
-    return top + math.log(sum(math.exp(v - top) for v in logs))
 
 
 def _term_logs(e: GExpr, x: float) -> list[float]:

@@ -84,41 +84,21 @@ _CONVENTIONS = {c.value: c for c in pde.Convention}
 
 
 def _build_solution(args) -> pde.SeriesSolution:
-    family = _FAMILIES[args.family]
-    convention = _CONVENTIONS[args.convention]
-    depth = args.n
-    if family is pde.Family.A:
-        if args.ratio is not None:
-            raise _UsageError("family A takes no --ratio")
-        return pde.solve_family_a(depth)
-    if args.ratio is None:
-        raise _UsageError(f"family {family.value} needs --ratio <lpoly.json>")
-    ratio = _load_typed(args.ratio, "lpoly")
-    if family is pde.Family.B:
-        return pde.solve_family_b(ratio, depth, convention)
-    if family is pde.Family.C:
-        return pde.solve_family_c(ratio, depth, convention)
-    return pde.solve_family_d(ratio, depth)
-
-
-# per family: the key naming the t-power of profile n, and that power over n
-_POWER_KEYS = {
-    pde.Family.A: ("t_power", -2),
-    pde.Family.B: ("mm_power", 1),
-    pde.Family.C: ("hh_power", 1),
-}
+    ratio = None if args.ratio is None else _load_typed(args.ratio, "lpoly")
+    return pde.solve(_FAMILIES[args.family], ratio, args.n, _CONVENTIONS[args.convention])
 
 
 def _solution_terms(sol: pde.SeriesSolution) -> list:
-    fam = sol.problem.family
-    if fam is pde.Family.D:
-        return [{"form": "exp(-MM(t))"}]
-    key, per_order = _POWER_KEYS[fam]
-    if fam is pde.Family.B and sol.problem.convention is pde.Convention.PAPER_LITERAL:
+    """Profile n's terms with the t-power the row names for tau^n."""
+    row = sol.problem.row
+    if not row.recipe[0]:  # r1 = 0: u is its prefactor alone
+        return [{"form": f"exp(-{row.tau_name}(t))"}]
+    key = f"{row.tau_name.lower()}_power"
+    if sol.problem.folded:
         return [
             {
                 "p": p,
-                key: per_order * p,
+                key: row.tau_power * p,
                 "monomials": [
                     {"c": rational_to_string(term.c), "x_half_degree": term.k}
                     for term in profile.terms
@@ -127,13 +107,13 @@ def _solution_terms(sol: pde.SeriesSolution) -> list:
             for p, profile in enumerate(sol.profiles)
         ]
     out = []
-    # family C's unit profile (n = 0) is retained content, not a listed term
-    for n in range(1 if fam is pde.Family.C else 0, len(sol.profiles)):
+    # a formal-unit u_hat_0 leaves profile 0 as retained content, not a listed term
+    for n in range(0 if row.u0.is_proper() else 1, len(sol.profiles)):
         (term,) = sol.profiles[n].terms
         entry = {"n": n, "c": rational_to_string(term.c), "x_half_degree": term.k}
-        if fam is pde.Family.C:
+        if term.a:
             entry["gauss_rate"] = rational_to_string(term.a)
-        entry[key] = per_order * n
+        entry[key] = row.tau_power * n
         out.append(entry)
     return out
 

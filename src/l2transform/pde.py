@@ -1,26 +1,39 @@
-"""Transform-method series solvers for four PDE families on x, t > 0,
-an exact-coefficient polynomial type for their t-dependent data, and a
-residual harness that evaluates each family's defining equation on a grid
-with analytic derivatives, cross-checked by finite differences.
+"""Transform-method series solutions of the PDE class
 
-Families (u = u(x, t); all written with the ring derivation
-delta_x = (1/x) d/dx; coefficient data enters through the polynomial
-ratio of the two t-coefficients so antiderivatives stay exact):
+    f(t) (a u + b delta_x(u)) + c u_t + d delta_x(u_t) = 0,    d != 0,
 
-    A:  t^3 u_xt + 2 x u = 0
-    B:  M(t) u + M(t) delta_x(u) + delta_x(u_t) = 0
-    C:  H(t) u - u_t + delta_x(u_t) = 0
-    D:  M(t) (u + delta_x(u)) + u_t + delta_x(u_t) = 0
+on x, t > 0 (u = u(x, t), delta_x = (1/x) d/dx the ring derivation), an
+exact-coefficient polynomial type for the t-dependent data, and a residual
+harness that evaluates each equation on a grid with analytic derivatives,
+cross-checked by finite differences.
 
-Every candidate is one `SeriesSolution`, the separable series
-u(x, t) = P(t) * sum_n tau(t)^n X_n(x) with exact x-profiles X_n, a time
-variable tau (MM or HH, the antiderivative of the ratio, or t^-2) and a
-prefactor P = exp(-MM) or 1; the family solvers only build that data.
+Families A-D are rows of data (`_ROWS`): their (a, b, c, d), time variable,
+equation text and residual expression.  The t-coefficient enters through
+the polynomial ratio f (M for B and D, H for C) so antiderivatives stay
+exact; family A has f = 2 t^-3:
 
-Families B and C each carry two sign conventions for the candidate series:
-`derived` (recomputed from the transform-domain ODE from scratch) and
-`paper_literal` (the same closed forms with the sign of the exponent data
-flipped, retained as the alternative candidate for the harness to grade).
+    A  (1, 0,  0, 1):  t^3 u_xt + 2 x u = 0
+    B  (1, 1,  0, 1):  M(t) u + M(t) delta_x(u) + delta_x(u_t) = 0
+    C  (1, 0, -1, 1):  H(t) u - u_t + delta_x(u_t) = 0
+    D  (1, 1,  1, 1):  M(t) (u + delta_x(u)) + u_t + delta_x(u_t) = 0
+
+One builder, `solve`, follows section 6 for every row.  With
+T{delta_x u} = 2 sigma u_hat - u(0+, t) the equation becomes
+(c + 2 sigma d) u_hat_t = -f(t) (a + 2 sigma b) u_hat, so
+u_hat = u_hat_0 exp(-F r) with F the antiderivative of f and
+r(sigma) = b/d + r1(sigma), r1 = k1 / (sigma - p), k1 = (a - bc/d) / (2d),
+p = -c / (2d).  Writing F = -sign * tau for the row's time variable tau,
+
+    u = exp(sign (b/d) tau) sum_n tau^n X_n,
+    X_n = sign^n / n! * inverse(u_hat_0 r1^n),
+
+with u_hat_0 = T{1} = 1/(2 sigma), or for family C the formal unit, whose
+retained function is 1.  Every candidate is one `SeriesSolution` holding
+the exact profiles X_n, tau and the prefactor rate.
+
+Families B and C each carry two sign conventions: `derived` (the series
+above) and `paper_literal` (the sign of tau flipped; a factor
+exp(+(b/d) tau) is multiplied into the series and summed by total order).
 The harness reports residuals, it does not assume any candidate actually
 solves its equation; family C's retained unit term, for instance,
 contributes exactly H(t) to the derived residual.
@@ -36,9 +49,10 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import algebra
+from . import transform as tf
 from .algebra import GExpr, GTerm, RationalLike, _is_count, as_rational
-from .convolution import EXP_HALF, convolve_symbolic
 from .errors import GridDomainError
+from .transform import SExpr
 
 FD_STEP = 1e-5
 
@@ -128,37 +142,6 @@ class Convention(enum.Enum):
     PAPER_LITERAL = "paper"
 
 
-_EQUATIONS = {
-    Family.A: "t^3 u_xt + 2 x u = 0",
-    Family.B: "M(t) u + M(t) u_x/x + u_xt/x = 0",
-    Family.C: "H(t) u - u_t + u_xt/x = 0",
-    Family.D: "M(t) (u + u_x/x) + u_t + u_xt/x = 0",
-}
-
-
-@dataclass(frozen=True)
-class PDEProblem:
-    """Which equation a residual is computed against.
-
-    `ratio` is the polynomial coefficient ratio (M for families B and D,
-    H for family C); family A carries none.  `convention` tags which
-    candidate series the problem was posed for (families B and C).
-    """
-
-    family: Family
-    ratio: Optional[LPoly] = None
-    convention: Optional[Convention] = None
-
-    def __post_init__(self):
-        if self.family is Family.A and self.ratio is not None:
-            raise ValueError("family A carries no coefficient ratio")
-        if self.family in (Family.B, Family.C, Family.D) and self.ratio is None:
-            raise ValueError(f"family {self.family.value} needs a coefficient ratio")
-
-    def describe(self) -> str:
-        return _EQUATIONS[self.family]
-
-
 class TimeVariable(NamedTuple):
     """tau(t) of a series: float value, float derivative, exact value."""
 
@@ -171,6 +154,105 @@ def _inverse_square(t: Fraction) -> Fraction:
     if t <= 0:
         raise ValueError(f"tau = t^-2 needs t > 0, got t = {t}")
     return 1 / t ** 2
+
+
+class _Equation(NamedTuple):
+    """One row of f(t) (a u + b delta_x u) + c u_t + d delta_x u_t = 0.
+
+    `tau` is the time variable, None for the antiderivative of the
+    problem's ratio f; `sign` is the sign of tau in the derived series'
+    exponent (F = -sign * tau); `u0` is u_hat_0, which sits at r1's pole or
+    is the formal unit.  `residual` maps (f(t), x, t, u, u_t, u_x, u_xt) to
+    the equation's left side as `text` prints it.  `l2t solve` lists the
+    t-power of order n as `tau_power * n` under `tau_name`.  `conventions`
+    tells whether the row carries the derived and paper sign conventions.
+    """
+
+    coefficients: tuple[int, int, int, int]
+    text: str
+    residual: Callable[..., float]
+    tau: Optional[TimeVariable]
+    sign: int
+    u0: SExpr
+    conventions: bool
+    tau_name: str
+    tau_power: int
+    metadata: dict
+
+    @property
+    def recipe(self) -> tuple[Fraction, Fraction, Fraction]:
+        """(k1, p, b/d) of r(sigma) = b/d + k1 / (sigma - p)."""
+        a, b, c, d = map(Fraction, self.coefficients)
+        return (a - b * c / d) / (2 * d), -c / (2 * d), b / d
+
+
+_T_ONE = tf.forward(algebra.constant(1))  # 1 / (2 sigma)
+
+_ROWS = {
+    # f = 2 t^-3, so F = -t^-2 = -tau
+    Family.A: _Equation(
+        (1, 0, 0, 1), "t^3 u_xt + 2 x u = 0",
+        lambda f, x, t, u, ut, ux, uxt: t ** 3 * uxt + 2 * x * u,
+        tau=TimeVariable(lambda t: t ** -2, lambda t: -2 * t ** -3, _inverse_square),
+        sign=1, u0=_T_ONE, conventions=False, tau_name="t", tau_power=-2,
+        metadata={"side_condition": "series value at x -> 0+ is 1, not the stated 0"}),
+    Family.B: _Equation(
+        (1, 1, 0, 1), "M(t) u + M(t) u_x/x + u_xt/x = 0",
+        lambda f, x, t, u, ut, ux, uxt: f * (u + ux / x) + uxt / x,
+        tau=None, sign=-1, u0=_T_ONE, conventions=True, tau_name="MM", tau_power=1,
+        metadata={}),
+    Family.C: _Equation(
+        (1, 0, -1, 1), "H(t) u - u_t + u_xt/x = 0",
+        lambda f, x, t, u, ut, ux, uxt: f * u - ut + uxt / x,
+        tau=None, sign=-1, u0=tf.constant(1), conventions=True, tau_name="HH", tau_power=1,
+        metadata={"has_impulse_content": True,
+                  "side_condition": "series value at x -> 0+ is 1 + sign*HH(t), not the stated 0",
+                  "unit_term_note": "the retained unit contributes H(t) to the residual"}),
+    Family.D: _Equation(
+        (1, 1, 1, 1), "M(t) (u + u_x/x) + u_t + u_xt/x = 0",
+        lambda f, x, t, u, ut, ux, uxt: f * (u + ux / x) + ut + uxt / x,
+        tau=None, sign=-1, u0=_T_ONE, conventions=False, tau_name="MM", tau_power=1,
+        metadata={"x_free": True}),
+}
+
+
+@dataclass(frozen=True)
+class PDEProblem:
+    """Which equation a residual is computed against.
+
+    `ratio` is the polynomial coefficient ratio f (M for families B and D,
+    H for family C); family A carries none.  `convention` tags which
+    candidate series the problem was posed for (families B and C).
+    """
+
+    family: Family
+    ratio: Optional[LPoly] = None
+    convention: Optional[Convention] = None
+
+    def __post_init__(self):
+        if self.row.tau is not None and self.ratio is not None:
+            raise ValueError(f"family {self.family.value} carries no coefficient ratio")
+        if self.row.tau is None and self.ratio is None:
+            raise ValueError(f"family {self.family.value} needs a coefficient ratio")
+
+    @property
+    def row(self) -> _Equation:
+        return _ROWS[self.family]
+
+    @property
+    def sign(self) -> int:
+        """The sign of tau in the candidate's exponent: the row's, flipped
+        by the paper convention."""
+        return -self.row.sign if self.convention is Convention.PAPER_LITERAL else self.row.sign
+
+    @property
+    def folded(self) -> bool:
+        """True when the candidate multiplies exp(+(b/d) tau) into its
+        series by total order: the paper convention of a row with b != 0."""
+        return self.convention is Convention.PAPER_LITERAL and bool(self.row.recipe[2])
+
+    def describe(self) -> str:
+        return self.row.text
 
 
 def _horner_jet(low: int, coeffs: tuple[float, ...], z: float) -> tuple[float, float]:
@@ -222,17 +304,16 @@ def _orders(depth: int) -> range:
 class SeriesSolution:
     """Truncated separable series u(x, t) = P(t) * sum_n tau(t)^n * X_n(x).
 
-    `profiles` are the exact X_n (n = 0, 1, ...); `tau` defaults to MM, the
-    antiderivative of the problem's ratio M; P(t) = exp(-tau(t)) when
-    `prefactor` is set, else 1.  depth N means: term indices n = 0..N for
-    families A and B, the unit term plus n = 1..N for family C; family D
-    is a single closed form.  `at(t)` evaluates u and its derivatives from
-    one float table; no numeric differentiation happens inside a solution.
+    `profiles` are the exact X_n (n = 0, 1, ..., depth; only X_0 when
+    r1 = 0); `tau` defaults to the antiderivative of the problem's ratio;
+    P(t) = exp(-prefactor * tau(t)), 1 when `prefactor` is 0.  `at(t)`
+    evaluates u and its derivatives from one float table; no numeric
+    differentiation happens inside a solution.
     """
 
     def __init__(self, problem: PDEProblem, depth: int, metadata: dict,
                  profiles: Iterable[GExpr], tau: Optional[TimeVariable] = None,
-                 prefactor: bool = False):
+                 prefactor: float = 0.0):
         _orders(depth)
         self.problem = problem
         self.depth = depth
@@ -242,20 +323,22 @@ class SeriesSolution:
         self.profiles = tuple(profiles)
         self.tau = tau or TimeVariable(
             self.anti.evaluate, self.ratio.evaluate, self.anti.evaluate_exact)
-        self.prefactor = prefactor
+        self.prefactor = float(prefactor)
         self._table = _HornerTable(self.profiles)
         self._latest = (None, None)  # (t, at(t)) of the latest value call
 
     def at(self, t: float) -> Callable[[float], tuple[float, float, float, float]]:
         """x -> (u, u_t, u_x, u_xt) at time t.  One collapse of tau gives the
-        y-coefficient pairs (c, d) of S and S_tau, with P = exp(-tau) folded in
-        as (P c, P (d - c)); Horner with derivative in y gives S_y = e^(a y)
-        (a p + p') per rate a, then u_x = 2 x S_y and u_t = tau'(t) S_tau."""
+        y-coefficient pairs (c, d) of S and S_tau, with P = exp(-k tau) folded
+        in as (P c, P (d - k c)); Horner with derivative in y gives
+        S_y = e^(a y) (a p + p') per rate a, then u_x = 2 x S_y and
+        u_t = tau'(t) S_tau."""
         tau, tau_t = self.tau.value(t), self.tau.derivative(t)
         collapsed = self._table.collapse(tau)
         if self.prefactor:
-            p = math.exp(-tau)
-            collapsed = [(a, [p * c for c in cs], [p * (d - c) for c, d in zip(cs, ds)])
+            k = self.prefactor
+            p = math.exp(-k * tau)
+            collapsed = [(a, [p * c for c in cs], [p * (d - k * c) for c, d in zip(cs, ds)])
                          for a, cs, ds in collapsed]
 
         def jet(x: float) -> tuple[float, float, float, float]:
@@ -281,95 +364,67 @@ class SeriesSolution:
             self._latest = (t, jet)
         return jet(x)[0]
 
-    def term_value(self, n: int, x: float, t: float) -> float:
-        if n >= len(self.profiles):
-            return 0.0
-        tau = self.tau.value(t)
-        p = math.exp(-tau) if self.prefactor else 1.0
-        return p * tau ** n * algebra.evaluate(self.profiles[n], x)
-
     def star_part(self, n: int) -> GExpr:
-        """Family C: the n-th convolution power of e^(x^2/2) (1 <= n <= depth),
-        which is profile n without its series weight sign^n / n!."""
-        if self.problem.family is not Family.C or not 1 <= n <= self.depth:
-            raise ValueError(f"star_part({n}) needs family C and 1 <= n <= depth")
-        sign = _C_SIGN[self.problem.convention]
-        return algebra.scale(self.profiles[n], sign ** n * math.factorial(n))
+        """inverse(u_hat_0 r1^n), which is profile n without its series
+        weight sign^n / n!; for family C the n-th convolution power of
+        e^(x^2/2).  Needs an unfolded series and 1 <= n < len(profiles)."""
+        if self.problem.folded or not 1 <= n < len(self.profiles):
+            raise ValueError(f"star_part({n}) needs an unfolded series and 1 <= n <= depth")
+        return algebra.scale(self.profiles[n], self.problem.sign ** n * math.factorial(n))
 
 
-_C_SIGN = {Convention.DERIVED: -1, Convention.PAPER_LITERAL: 1}  # family C: HH enters as sign * HH
+def solve(family: Family, ratio: Optional[LPoly], depth: int,
+          convention: Convention = Convention.DERIVED) -> SeriesSolution:
+    """The section-6 series of a row, truncated at order depth (see the
+    module docstring); `convention` applies to rows that carry one."""
+    row = _ROWS[family]
+    problem = PDEProblem(family, ratio, convention if row.conventions else None)
+    orders = _orders(depth)
+    k1, p, kappa = row.recipe
+    sign = problem.sign
+    (u0,) = row.u0.terms
+    # u_hat_0 r1^n = pole(c0 k1^n, p, m0 + n): u_hat_0 sits at r1's pole or
+    # is the unit; X_0 is the function 1 either way, and r1 = 0 leaves only it
+    profiles = [algebra.constant(1)] + [
+        tf.inverse(tf.pole(Fraction(sign ** n, math.factorial(n)) * u0.c * k1 ** n, p, u0.m + n))
+        for n in (orders[1:] if k1 else ())]
+    rate = -sign * kappa  # the prefactor exp(sign (b/d) tau) = exp(-rate tau)
+    if problem.folded:
+        # exp(-rate tau) = sum_j (-rate tau)^j / j!, summed with the series by
+        # total order.  The row that folds (B) has u_hat_0 = T{1} and p = 0,
+        # so X_i is one term at x^(2i) and each sum is canonical as built
+        weights = [(-rate) ** j / math.factorial(j) for j in orders]
+        profiles = [GExpr._trusted((term.c * weights[q - i], term.k, term.a)
+                                   for i in range(q + 1) for term in profiles[i].terms)
+                    for q in orders]
+        rate = 0
+    metadata = ({"convention": problem.convention.value} if problem.convention else {}) | row.metadata
+    return SeriesSolution(problem, depth, metadata, profiles, row.tau, rate)
 
 
 def solve_family_a(depth: int) -> SeriesSolution:
     """u = sum_n (1/2)^n x^(2n) / (t^(2n) (n!)^2): tau = t^-2, P = 1."""
-    profiles = [algebra.monomial(Fraction(1, 2 ** n * math.factorial(n) ** 2), n)
-                for n in _orders(depth)]
-    meta = {"side_condition": "series value at x -> 0+ is 1, not the stated 0"}
-    tau = TimeVariable(lambda t: t ** -2, lambda t: -2 * t ** -3, _inverse_square)
-    return SeriesSolution(PDEProblem(Family.A), depth, meta, profiles, tau)
+    return solve(Family.A, None, depth)
 
 
 def solve_family_b(ratio: LPoly, depth: int,
                    convention: Convention = Convention.DERIVED) -> SeriesSolution:
-    """tau = MM, the antiderivative of the ratio M.
-
-    Derived convention: u = exp(-MM) sum_n (-MM/2)^n x^(2n) / (n!)^2.
-
-    Literal convention: the sign-flipped variant, a product of two series
-    stored merged by total order p so truncation increments stay single
-    terms:
-
-        u = sum_p MM^p sum_{i<=p} x^(2i) / ((i!)^2 2^i (p-i)!).
-    """
-    f = math.factorial
-    derived = convention is Convention.DERIVED
-    if derived:
-        profiles = [algebra.monomial(Fraction(-1, 2) ** n / f(n) ** 2, n) for n in _orders(depth)]
-    else:
-        profiles = [
-            GExpr(tuple(GTerm(Fraction(1, f(i) ** 2 * 2 ** i * f(p - i)), i, Fraction(0))
-                        for i in range(p + 1)))
-            for p in _orders(depth)
-        ]
-    return SeriesSolution(PDEProblem(Family.B, ratio, convention), depth,
-                          {"convention": convention.value}, profiles, prefactor=derived)
+    """Derived: u = exp(-MM) sum_n (-MM/2)^n x^(2n) / (n!)^2, tau = MM.  Paper:
+    u = sum_p MM^p sum_{i<=p} x^(2i) / ((i!)^2 2^i (p-i)!), summed by total order p."""
+    return solve(Family.B, ratio, depth, convention)
 
 
 def solve_family_c(ratio: LPoly, depth: int,
                    convention: Convention = Convention.DERIVED) -> SeriesSolution:
-    """u = 1 + sum_{n>=1} (sign * HH)^n / n! * p_n(x), where p_n is the n-th
-    convolution power of e^(x^2/2) (closed form x^(2n-2) e^(x^2/2) /
-    (2^(n-1) (n-1)!)) and HH is the antiderivative of the ratio H: tau = HH,
-    and profile n is sign^n p_n / n!.
-
-    sign is -1 for the derived convention and +1 for the literal one.  The
-    leading 1 is retained formal unit content (see `metadata`), so the
-    exact inverse of the transform-domain candidate would not exist.
-    """
-    meta = {
-        "convention": convention.value,
-        "has_impulse_content": True,
-        "side_condition": "series value at x -> 0+ is 1 + sign*HH(t), not the stated 0",
-        "unit_term_note": "the retained unit contributes H(t) to the residual",
-    }
-    # p_n = p_(n-1) * e^(x^2/2), one same-pole convolution per step, so the
-    # series/star-power consistency holds by construction.
-    sign = _C_SIGN[convention]
-    profiles, part = [algebra.constant(1)], EXP_HALF
-    for n in _orders(depth)[1:]:
-        if n > 1:
-            part = convolve_symbolic(part, EXP_HALF)
-        profiles.append(algebra.scale(part, Fraction(sign ** n, math.factorial(n))))
-    return SeriesSolution(PDEProblem(Family.C, ratio, convention), depth, meta, profiles)
+    """u = 1 + sum_{n>=1} (sign HH)^n / n! p_n(x), tau = HH, sign -1 (derived)
+    or +1 (paper); p_n = x^(2n-2) e^(x^2/2) / (2^(n-1) (n-1)!) is the n-th
+    convolution power of e^(x^2/2), and the 1 is retained formal unit content."""
+    return solve(Family.C, ratio, depth, convention)
 
 
 def solve_family_d(ratio: LPoly, depth: int = 1) -> SeriesSolution:
-    """x-free closed form u(t) = exp(-MM(t)), the unit profile under the
-    prefactor; it satisfies M u + u_t = 0, hence the family's equation with
-    both delta_x terms vanishing.  depth is accepted for interface
-    uniformity."""
-    return SeriesSolution(PDEProblem(Family.D, ratio), depth, {"x_free": True},
-                          [algebra.constant(1)], prefactor=True)
+    """u = exp(-MM(t)), x-free (r1 = 0): M u + u_t = 0 and both delta_x terms vanish."""
+    return solve(Family.D, ratio, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +450,11 @@ class ResidualReport:
 def default_grid(x_lo: float = 0.1, x_hi: float = 2.0, nx: int = 10,
                  t_lo: float = 0.5, t_hi: float = 2.0, nt: int = 10) -> list[GridPoint]:
     """Log-spaced grid over [x_lo, x_hi] x [t_lo, t_hi], excluding the
-    singular axes x = 0 and t = 0: every bound must be > 0 (GridDomainError)
-    and both counts >= 1 (ValueError)."""
-    if not all(bound > 0 for bound in (x_lo, x_hi, t_lo, t_hi)):  # NaN included
-        raise GridDomainError(f"grid bounds must be > 0: [{x_lo}, {x_hi}] x [{t_lo}, {t_hi}]")
+    singular axes x = 0 and t = 0: every bound must be finite and > 0
+    (GridDomainError) and both counts >= 1 (ValueError)."""
+    if not all(0 < bound < math.inf for bound in (x_lo, x_hi, t_lo, t_hi)):  # NaN included
+        raise GridDomainError(
+            f"grid bounds must be finite and > 0: [{x_lo}, {x_hi}] x [{t_lo}, {t_hi}]")
     if not (_is_count(nx, 1) and _is_count(nt, 1)):
         raise ValueError(f"grid counts must be >= 1, got nx = {nx}, nt = {nt}")
 
@@ -408,21 +464,9 @@ def default_grid(x_lo: float = 0.1, x_hi: float = 2.0, nx: int = 10,
     return [(x, t) for x in logspace(x_lo, x_hi, nx) for t in logspace(t_lo, t_hi, nt)]
 
 
-def _equation_residual(problem: PDEProblem, x: float, t: float,
-                       u: float, ut: float, ux: float, uxt: float) -> float:
-    if problem.family is Family.A:
-        return t ** 3 * uxt + 2 * x * u
-    m = problem.ratio.evaluate(t)  # H for family C
-    if problem.family is Family.B:
-        return m * (u + ux / x) + uxt / x
-    if problem.family is Family.C:
-        return m * u - ut + uxt / x
-    return m * (u + ux / x) + ut + uxt / x
-
-
 def residual(problem: PDEProblem, solution: SeriesSolution,
              grid: Iterable[GridPoint]) -> ResidualReport:
-    """Evaluate the family equation on the grid with the solution's exact
+    """Evaluate the problem's equation on the grid with the solution's exact
     derivatives, then recompute every point with central finite differences
     of the solution values (step FD_STEP) as an independent cross-check.
 
@@ -447,16 +491,18 @@ def residual(problem: PDEProblem, solution: SeriesSolution,
     def v(x: float, t: float) -> float:
         return at[t](x)[0]
 
+    equation, ratio = problem.row.residual, problem.ratio
     exact = []
     fd = []
     for x, t in pts:
+        f = None if ratio is None else ratio.evaluate(t)
         u, *derivatives = at[t](x)
-        exact.append(_equation_residual(problem, x, t, u, *derivatives))
+        exact.append(equation(f, x, t, u, *derivatives))
         ut = (v(x, t + h) - v(x, t - h)) / (2 * h)
         ux = (v(x + h, t) - v(x - h, t)) / (2 * h)
         uxt = (v(x + h, t + h) - v(x + h, t - h)
                - v(x - h, t + h) + v(x - h, t - h)) / (4 * h * h)
-        fd.append(_equation_residual(problem, x, t, u, ut, ux, uxt))
+        fd.append(equation(f, x, t, u, ut, ux, uxt))
 
     return ResidualReport(
         family=problem.family,
@@ -552,12 +598,14 @@ def truncation_bound(solution: SeriesSolution, x_max: float,
 
 def profile_gexpr(solution: SeriesSolution, t0: RationalLike) -> GExpr:
     """The x-profile u(., t0) = sum_n tau(t0)^n X_n as an exact algebra
-    element.  Solutions with the prefactor exp(-Q(t)) (family B derived,
+    element.  Solutions with a prefactor exp(-k tau(t)) (family B derived,
     family D) have no rational profile and raise ValueError."""
-    if solution.prefactor:
+    k = solution.prefactor
+    if k:
+        tau = f"{'' if k == 1 else f'{k} '}{solution.problem.row.tau_name}(t)"
         raise ValueError(
             f"family {solution.problem.family.value} has the non-rational "
-            "prefactor exp(-MM(t)); no exact profile"
+            f"prefactor exp(-{tau}); no exact profile"
         )
     tau = solution.tau.exact(as_rational(t0))
     return GExpr(tuple(
@@ -566,47 +614,23 @@ def profile_gexpr(solution: SeriesSolution, t0: RationalLike) -> GExpr:
     ))
 
 
-def family_b_transform_identity(ratio: LPoly, depth: int) -> bool:
-    """Exact check, in rational data only, that the derived family-B
-    transform-domain candidate satisfies its ODE through order depth.
+def _exponential_series_identity(ratio: LPoly, depth: int) -> bool:
+    """Exact check, in rational data only, that the derived transform-domain
+    candidates of families B and C satisfy their ODE through order depth N.
 
-    With V = sum_{n<=N} (-MM)^n / (n! 2^(n+1)) sigma^-(n+1), the ODE reduces
-    to 2 sigma V_t + M V = 0; the truncated series must cancel coefficient
-    by coefficient, leaving only the known single boundary term at
-    sigma^-(N+1)."""
+    With F the antiderivative of the ratio f and e_n = (-F)^n / n!, both
+    reduce to e_(n+1)' + f e_n = 0 for n < N, coefficient by coefficient,
+    leaving only the boundary coefficient f e_N = (-1)^N f F^N / N!.  For B
+    the candidate is V = sum_n e_n / 2^(n+1) sigma^-(n+1) of
+    2 sigma V_t + M V = 0, whose sigma^-(n+1) coefficient is that recursion
+    over 2^(n+1); for C it is sum_n e_n w^n, w = (2 sigma - 1)^-1, of
+    H u_hat + (2 sigma - 1) u_hat_t = 0, whose w^n coefficient it is."""
     anti = ratio.antiderivative()
-    c = [
-        ((anti.scale(-1)) ** n).scale(Fraction(1, math.factorial(n) * 2 ** (n + 1)))
-        for n in range(depth + 1)
-    ]
-    # coefficient of sigma^(-j) in 2 sigma V_t + M V
-    coeff: dict[int, LPoly] = {}
-    for n in range(depth + 1):
-        coeff[n] = coeff.get(n, LPoly()) + c[n].derivative().scale(2)
-        coeff[n + 1] = coeff.get(n + 1, LPoly()) + ratio * c[n]
-    expected_boundary = (ratio * anti ** depth).scale(
-        Fraction((-1) ** depth, math.factorial(depth) * 2 ** (depth + 1))
-    )
-    if coeff.pop(depth + 1) != expected_boundary:
+    e = [(anti.scale(-1) ** n).scale(Fraction(1, math.factorial(n))) for n in range(depth + 1)]
+    if any(ratio * e[n] + e[n + 1].derivative() for n in range(depth)):
         return False
-    return all(not p for p in coeff.values())
+    return ratio * e[depth] == (ratio * anti ** depth).scale(
+        Fraction((-1) ** depth, math.factorial(depth)))
 
 
-def family_c_transform_identity(ratio: LPoly, depth: int) -> bool:
-    """Exact check that the derived family-C transform-domain candidate
-    exp(-HH * tau), tau = (2 sigma - 1)^-1, satisfies H u_hat + (2 sigma - 1)
-    u_hat_t = 0 through the truncation order (f = 1, g = H in ratio form);
-    only the tau^N boundary coefficient survives."""
-    anti = ratio.antiderivative()
-    e = [
-        ((anti.scale(-1)) ** n).scale(Fraction(1, math.factorial(n)))
-        for n in range(depth + 1)
-    ]
-    for m in range(depth):
-        if ratio * e[m] + e[m + 1].derivative():
-            return False
-    boundary = ratio * e[depth]
-    expected = (ratio * anti ** depth).scale(
-        Fraction((-1) ** depth, math.factorial(depth))
-    )
-    return boundary == expected
+family_b_transform_identity = family_c_transform_identity = _exponential_series_identity

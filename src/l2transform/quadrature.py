@@ -184,15 +184,15 @@ def l2_quadrature(
     growth_rate: Optional[float] = None,
     envelope_coeff: float = 1.0,
 ) -> float:
-    """Numerically evaluate the transform of f at s > 0.
+    """Numerically evaluate the transform of f at a finite s > 0.
 
     For a GExpr the growth rate and envelope come from its terms; for a bare
     evaluator callers must declare `growth_rate` rho (and optionally the
     envelope constant C) bounding |f| <= C exp(rho x^2).  The integral
     diverges unless s**2 > rho.
     """
-    if not s > 0:
-        raise ValueError("s must be strictly positive")
+    if not 0 < s < math.inf:  # NaN included
+        raise ValueError(f"s must be finite and strictly positive, got {s}")
     sigma = s * s
 
     if isinstance(f, GExpr):

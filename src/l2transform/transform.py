@@ -18,8 +18,8 @@ a single Fraction (the common-denominator technique of Knuth, TAOCP vol. 2,
 The public constructors canonicalize whatever they are given.
 `SExpr._trusted` and `GExpr._trusted` skip that for output that is canonical
 by construction (Fraction fields, nonzero coefficients, keys strictly
-ascending); only `_product`, `forward`, `inverse`, `delta_s` and
-`partial_fractions` use them.
+ascending); only `_product`, `forward`, `inverse`, `delta_s`,
+`partial_fractions` and the paper-convention fold of `pde.solve` use them.
 """
 
 from __future__ import annotations
@@ -280,13 +280,3 @@ def power(s: SExpr, n: int) -> SExpr:
         raise ValueError(f"power expects a positive integer, got {n!r}")
     return _product([s] * n)
 
-
-def evaluate_at(s: SExpr, sigma: float) -> float:
-    """Floating-point value at a sigma off every pole."""
-    total = 0.0
-    for t in s.terms:
-        if t.m == 0:
-            total += float(t.c)
-        else:
-            total += float(t.c) / (sigma - float(t.a)) ** t.m
-    return total

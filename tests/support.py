@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random expression generators, an
-independent dense-polynomial oracle for recombining partial fractions, and
-the environment for CLI subprocesses.
+independent dense-polynomial oracle for recombining partial fractions,
+float evaluators used only as oracles, and the environment for CLI
+subprocesses.
 
 The polynomial helpers deliberately know nothing about the package's
 transform module; they manipulate plain coefficient lists of Fractions so
@@ -16,7 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import l2transform
-from l2transform import GExpr, GTerm
+from l2transform import GExpr, GTerm, evaluate
+from l2transform.algebra import _term_logs
 from l2transform.transform import SExpr
 
 
@@ -142,3 +144,38 @@ def direct_term_sum(terms, x: float) -> float:
     """Evaluate a raw GTerm sequence by direct summation in input order,
     independent of canonicalization."""
     return sum(float(t.c) * x ** (2 * t.k) * math.exp(float(t.a) * x * x) for t in terms)
+
+
+def evaluate_at(s: SExpr, sigma: float) -> float:
+    """Floating-point value of a transform-domain expression at a sigma off
+    every pole."""
+    total = 0.0
+    for t in s.terms:
+        if t.m == 0:
+            total += float(t.c)
+        else:
+            total += float(t.c) / (sigma - float(t.a)) ** t.m
+    return total
+
+
+def log_abs_envelope(e: GExpr, x: float) -> float:
+    """log of the term-wise absolute-value envelope sum(|c| x^(2k) e^(a x^2))
+    at x > 0, computed in log space so x may lie far beyond the overflow
+    range of `evaluate`; -inf for the zero expression.  An upper bound for
+    log|e(x)|."""
+    if not e.terms:
+        return -math.inf
+    if x <= 0:
+        raise ValueError("envelope is defined for x > 0")
+    logs = _term_logs(e, x)
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def term_value(sol, n: int, x: float, t: float) -> float:
+    """Term n of a series solution, P(t) tau(t)^n X_n(x); 0 past its last
+    profile."""
+    if n >= len(sol.profiles):
+        return 0.0
+    tau = sol.tau.value(t)
+    return math.exp(-float(sol.prefactor) * tau) * tau ** n * evaluate(sol.profiles[n], x)

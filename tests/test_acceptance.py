@@ -22,7 +22,7 @@ from l2transform import pde
 from l2transform import transform as tf
 
 from support import (
-    child_env, linspace, rand_fraction, rand_gexpr, recombines_to_one,
+    child_env, evaluate_at, linspace, rand_fraction, rand_gexpr, recombines_to_one,
 )
 
 
@@ -88,7 +88,7 @@ def test_criterion_04_quadrature_agreement():
     for e in monomials + gaussians:
         rho = float(e.max_rate())
         for sigma in (rho + 0.5, rho + 2.0):
-            exact = tf.evaluate_at(forward(e), sigma)
+            exact = evaluate_at(forward(e), sigma)
             num = l2_quadrature(e, math.sqrt(sigma))
             ok = ok and abs(num - exact) <= 1e-8 * abs(exact)
     report(4, "quadrature vs symbolic transform, relative 1e-8", ok)

@@ -4,6 +4,7 @@ stability across repeated runs."""
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -151,6 +152,46 @@ class TestSolveGolden:
         assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+# name of the recorded stdout in tests/golden -> l2t residual arguments, all
+# with RESIDUAL_ARGS; the ratio is 1 + t/3 for every family that takes one
+RESIDUAL_ARGS = ["--n", "12", "--grid", "0.2,2,4,0.5,2,4"]
+RESIDUAL_GOLDEN = {
+    "residual_A": ["--family", "A"],
+    "residual_B_derived": ["--family", "B", "--ratio", "*", "--convention", "derived"],
+    "residual_B_paper": ["--family", "B", "--ratio", "*", "--convention", "paper"],
+    "residual_C_derived": ["--family", "C", "--ratio", "*", "--convention", "derived"],
+    "residual_C_paper": ["--family", "C", "--ratio", "*", "--convention", "paper"],
+    "residual_D": ["--family", "D", "--ratio", "*"],
+}
+
+
+def _same_document(got, want, path="$") -> None:
+    """Exact equality of everything but floats; floats within 1e-13
+    relative, so that a libm with other last bits cannot fail the test."""
+    if isinstance(want, float) or isinstance(got, float):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), path
+        assert math.isclose(got, want, rel_tol=1e-13), f"{path}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), path
+        for key in want:
+            _same_document(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _same_document(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{path}: {got!r} != {want!r}"
+
+
+class TestResidualGolden:
+    @pytest.mark.parametrize("name", sorted(RESIDUAL_GOLDEN))
+    def test_report_matches_the_recording(self, name, files, capsys):
+        args = [files["ratio_1_t3"] if a == "*" else a for a in RESIDUAL_GOLDEN[name]]
+        code, out, _ = run_cli(["residual", *args, *RESIDUAL_ARGS], capsys)
+        assert code == 0
+        _same_document(json.loads(out), json.loads((GOLDEN / f"{name}.json").read_text()))
+
+
 class TestExitCodes:
     def test_schema_error_is_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -179,6 +220,8 @@ class TestExitCodes:
         "0.5,2,0,0.5,1,2",      # no x points at all
         "1e-6,1,2,0.5,1,2",     # x within the finite-difference step of 0
         "0.5,2,2,nan,1,2",      # NaN t bound
+        "0.5,inf,2,0.5,1,2",    # infinite x bound: the log spacing overflows
+        "0.5,2,2,0.5,inf,2",    # infinite t bound: t^3 of an infinite t
     ])
     def test_bad_residual_grid_is_2(self, grid, files, capsys):
         code, out, err = run_cli(
@@ -203,7 +246,7 @@ class TestExitCodes:
         doc = json.loads(err)
         assert set(doc) == {"code", "message"} and "$.terms[0].c" in doc["message"]
 
-    @pytest.mark.parametrize("s", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("s", ["nan", "0", "-1", "inf"])
     def test_quad_at_a_bad_s_is_2(self, s, files, capsys):
         code, out, err = run_cli(["quad", files["one"], "--s", s], capsys)
         assert code == 2 and out == ""

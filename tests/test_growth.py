@@ -11,9 +11,8 @@ from l2transform import (
     Convention, EXP_HALF, NonPositiveSampleError, algebra, check_bound,
     classify_exact, estimate_rate, lpoly, solve_family_c,
 )
-from l2transform.algebra import log_abs_envelope
 
-from support import linspace, rand_fraction
+from support import linspace, log_abs_envelope, rand_fraction
 
 SAMPLES = linspace(2.0, 6.0, 17)
 

@@ -16,7 +16,7 @@ from l2transform import (
 )
 from l2transform import pde
 
-from support import rand_fraction
+from support import log_abs_envelope, rand_fraction, term_value
 
 GRID = default_grid()
 M_ONE = lpoly({0: 1})
@@ -211,7 +211,7 @@ class TestFamilyC:
         term = algebra.scale(sol.star_part(2), hh ** 2 / 2)
         assert sol.star_part(2) == star_power(EXP_HALF, 2)
         assert term == algebra.gaussian("1/2", c=hh ** 2 / 4, k=1)
-        assert sol.term_value(2, 1.3, float(t0)) == pytest.approx(
+        assert term_value(sol, 2, 1.3, float(t0)) == pytest.approx(
             evaluate(term, 1.3), rel=1e-14)
 
     def test_star_part_consistency(self):
@@ -307,7 +307,8 @@ class TestResidualHarness:
 
     def test_default_grid_preconditions(self):
         for bounds in ((0.0, 2.0, 0.5, 2.0), (0.1, 2.0, 0.0, 1.0), (-1.0, 2.0, 0.5, 2.0),
-                       (0.1, 2.0, math.nan, 1.0), (0.1, math.nan, 0.5, 1.0)):
+                       (0.1, 2.0, math.nan, 1.0), (0.1, math.nan, 0.5, 1.0),
+                       (0.1, math.inf, 0.5, 2.0), (0.1, 2.0, 0.5, math.inf)):
             x_lo, x_hi, t_lo, t_hi = bounds
             with pytest.raises(GridDomainError):
                 default_grid(x_lo, x_hi, 2, t_lo, t_hi, 2)
@@ -353,7 +354,7 @@ class TestTruncationIncrement:
         lo, hi = make(12), make(13)
         for x, t in ((0.5, 0.8), (1.5, 1.2), (2.0, 0.6)):
             diff = hi.value(x, t) - lo.value(x, t)
-            term = hi.term_value(13, x, t)
+            term = term_value(hi, 13, x, t)
             scale = max(1.0, abs(lo.value(x, t)))
             assert abs(diff - term) <= 1e-12 * scale
 
@@ -395,7 +396,7 @@ class TestTruncationBound:
         for conv in Convention:
             sol = solve_family_b(M_T, 25, conv)
             bound = truncation_bound(sol, 2.0, (0.5, 2.0))
-            tail = sum(abs(sol.term_value(n, 2.0, 2.0))
+            tail = sum(abs(term_value(sol, n, 2.0, 2.0))
                        for n in range(26, 126))
             assert bound >= tail
 
@@ -511,8 +512,57 @@ class TestJet:
         jet = sol.at(float(t0))
         for x in (0.3, 1.0, 1.7, 2.5):
             for got, g, w in zip(jet(x), oracles, (1.0, 1.0, x, x)):
-                envelope = math.exp(algebra.log_abs_envelope(g, x)) if g else 0.0
+                envelope = math.exp(log_abs_envelope(g, x)) if g else 0.0
                 assert abs(got - p * w * evaluate(g, x)) <= 1e-12 * p * w * envelope
+
+
+def _closed_form_profiles(variant: str, depth: int) -> tuple[GExpr, ...]:
+    """The x-profiles X_n of u = P(t) sum_n tau^n X_n, read off the closed
+    forms of the README's family table (A, B-derived, C, D) and of the
+    paper conventions (exponent data with the opposite sign; B-paper's
+    exp(+MM) multiplied into the series and summed by total order p)."""
+    f = math.factorial
+    orders = range(depth + 1)
+    if variant == "A":        # sum (1/2)^n x^(2n) / (t^(2n) (n!)^2)
+        return tuple(algebra.monomial(F(1, 2 ** n * f(n) ** 2), n) for n in orders)
+    if variant == "B-derived":  # exp(-MM) sum (-MM/2)^n x^(2n) / (n!)^2
+        return tuple(algebra.monomial(F(-1, 2) ** n / f(n) ** 2, n) for n in orders)
+    if variant == "B-paper":  # sum_p MM^p sum_{i<=p} x^(2i) / ((i!)^2 2^i (p-i)!)
+        return tuple(sum((algebra.monomial(F(1, f(i) ** 2 * 2 ** i * f(p - i)), i)
+                          for i in range(p + 1)), algebra.zero()) for p in orders)
+    if variant in ("C-derived", "C-paper"):
+        # 1 + sum (sign HH)^n / n! p_n(x), p_n = x^(2n-2) e^(x^2/2) / (2^(n-1) (n-1)!)
+        sign = -1 if variant == "C-derived" else 1
+        return (algebra.constant(1),) + tuple(
+            algebra.gaussian(F(1, 2), F(sign ** n, f(n) * 2 ** (n - 1) * f(n - 1)), n - 1)
+            for n in orders[1:])
+    return (algebra.constant(1),)  # D: exp(-MM), x-free
+
+
+class TestClosedForms:
+    """Every variant's profiles, time variable and prefactor against its
+    closed form, structurally, at every depth from 1 to 40."""
+
+    SOLVERS = {
+        "A": lambda n: solve_family_a(n),
+        "B-derived": lambda n: solve_family_b(M_1PT, n),
+        "B-paper": lambda n: solve_family_b(M_1PT, n, Convention.PAPER_LITERAL),
+        "C-derived": lambda n: solve_family_c(M_1PT, n),
+        "C-paper": lambda n: solve_family_c(M_1PT, n, Convention.PAPER_LITERAL),
+        "D": lambda n: solve_family_d(M_1PT, n),
+    }
+    PREFACTOR = {"B-derived", "D"}  # P = exp(-MM); P = 1 for the others
+
+    @pytest.mark.parametrize("variant", sorted(SOLVERS))
+    def test_profiles_are_the_closed_forms(self, variant):
+        t0 = F(3, 2)
+        tau0 = t0 ** -2 if variant == "A" else t0 + t0 ** 2 / 2  # t^-2, or MM for M = 1 + t
+        for depth in range(1, 41):
+            sol = self.SOLVERS[variant](depth)
+            assert sol.depth == depth
+            assert sol.profiles == _closed_form_profiles(variant, depth), (variant, depth)
+            assert bool(sol.prefactor) == (variant in self.PREFACTOR)
+            assert sol.tau.exact(t0) == tau0
 
 
 class TestProblem:

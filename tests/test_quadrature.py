@@ -15,9 +15,8 @@ from l2transform import (
     algebra, convolution, convolve_numeric, forward, l2_quadrature, quadrature,
 )
 from l2transform.quadrature import integrate_interval, truncation_cutoff
-from l2transform.transform import evaluate_at
 
-from support import child_env, rand_gexpr
+from support import child_env, evaluate_at, rand_gexpr
 
 
 class TestKnownValues:
@@ -56,7 +55,7 @@ class TestEvaluatorPath:
         with pytest.raises(DivergentIntegralError):
             l2_quadrature(lambda x: math.exp(x * x), 1.0, growth_rate=1.0)
 
-    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_s_rejected(self, s):
         with pytest.raises(ValueError):
             l2_quadrature(algebra.constant(1), s)

@@ -17,7 +17,7 @@ from l2transform import (
 from l2transform import transform as tf
 
 from support import (
-    equals_product, rand_fraction, rand_gexpr, rational_equal, recombines_to_one,
+    equals_product, evaluate_at, rand_fraction, rand_gexpr, rational_equal, recombines_to_one,
 )
 
 
@@ -356,6 +356,6 @@ def test_quadrature_agreement_with_forward():
             continue
         e = e + algebra.gaussian("1/2", c=1)  # ensure max rate 1/2
         for sigma in (1.0, 2.0, 4.0):
-            exact = tf.evaluate_at(forward(e), sigma)
+            exact = evaluate_at(forward(e), sigma)
             num = l2_quadrature(e, math.sqrt(sigma))
             assert abs(num - exact) <= 1e-8
