@@ -17,7 +17,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Iterable, NamedTuple, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -43,19 +44,18 @@ def _is_count(value, minimum: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
-@dataclass(frozen=True)
-class GTerm:
-    """One term c * x**(2k) * exp(a * x**2)."""
+class GTerm(NamedTuple("GTermFields", [("c", Fraction), ("k", int), ("a", Fraction)])):
+    """One term c * x**(2k) * exp(a * x**2) as the tuple (c, k, a): the
+    constructor coerces c, then a, and checks k.  A term equals any tuple of
+    its values, so expressions compare by type and sort by an (a, k) key."""
 
-    c: Fraction
-    k: int
-    a: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", as_rational(self.c))
-        object.__setattr__(self, "a", as_rational(self.a))
-        if not _is_count(self.k, 0):
-            raise ValueError(f"half-degree k must be a nonnegative integer, got {self.k!r}")
+    def __new__(cls, c: RationalLike, k: int, a: RationalLike):
+        c, a = as_rational(c), as_rational(a)
+        if not _is_count(k, 0):
+            raise ValueError(f"half-degree k must be a nonnegative integer, got {k!r}")
+        return tuple.__new__(cls, (c, k, a))
 
 
 @dataclass(frozen=True)
@@ -74,19 +74,17 @@ class GExpr:
         for t in self.terms:
             key = (t.a, t.k)
             merged[key] = merged.get(key, Fraction(0)) + t.c
-        canon = tuple(
-            GTerm(c, k, a)
-            for (a, k), c in sorted(merged.items())
-            if c != 0
-        )
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "terms", tuple(
+            tuple.__new__(GTerm, (c, k, a)) for (a, k), c in sorted(merged.items()) if c != 0))
 
     @classmethod
     def _trusted(cls, terms: Iterable[tuple[Fraction, int, Fraction]]) -> "GExpr":
         """GExpr of (c, k, a) triples that are canonical by construction
         (c nonzero, c and a Fractions, k an int >= 0, keys (a, k) strictly
         ascending), built without __post_init__'s coercion and re-merge."""
-        return _unchecked(cls, terms=tuple(_unchecked(GTerm, c=c, k=k, a=a) for c, k, a in terms))
+        out = object.__new__(cls)
+        out.__dict__["terms"] = tuple([tuple.__new__(GTerm, t) for t in terms])
+        return out
 
     def __add__(self, other: "GExpr") -> "GExpr":
         return GExpr(self.terms + other.terms)
@@ -105,17 +103,12 @@ class GExpr:
 
     def max_rate(self) -> Fraction:
         """Largest Gaussian rate a; 0 for the zero expression."""
-        if not self.terms:
-            return Fraction(0)
-        return max(t.a for t in self.terms)
+        return max((t.a for t in self.terms), default=Fraction(0))
 
-
-def _unchecked(cls, **fields):
-    """Instance of the frozen dataclass `cls` with `fields` set as given,
-    skipping __init__ and __post_init__; for the trusted constructors."""
-    out = object.__new__(cls)
-    out.__dict__.update(fields)
-    return out
+    @cached_property
+    def _float_terms(self) -> tuple[tuple[float, int, float], ...]:
+        """(float(c), 2k, float(a)) per term, for evaluate's fast path."""
+        return tuple((float(t.c), 2 * t.k, float(t.a)) for t in self.terms)
 
 
 def canonicalize(terms: Iterable[GTerm]) -> GExpr:
@@ -128,17 +121,17 @@ def zero() -> GExpr:
 
 
 def constant(c: RationalLike) -> GExpr:
-    return GExpr((GTerm(as_rational(c), 0, Fraction(0)),))
+    return GExpr((GTerm(c, 0, 0),))
 
 
 def monomial(c: RationalLike, k: int) -> GExpr:
     """c * x**(2k)."""
-    return GExpr((GTerm(as_rational(c), k, Fraction(0)),))
+    return GExpr((GTerm(c, k, 0),))
 
 
 def gaussian(a: RationalLike, c: RationalLike = 1, k: int = 0) -> GExpr:
     """c * x**(2k) * exp(a x**2)."""
-    return GExpr((GTerm(as_rational(c), k, as_rational(a)),))
+    return GExpr((GTerm(c, k, a),))
 
 
 def scale(e: GExpr, c: RationalLike) -> GExpr:
@@ -171,8 +164,8 @@ def evaluate(e: GExpr, x: float) -> float:
         raise ValueError("the algebra lives on [0, inf)")
     try:
         total = 0.0
-        for t in e.terms:
-            total += float(t.c) * x ** (2 * t.k) * math.exp(float(t.a) * x * x)
+        for c, k2, a in e._float_terms:
+            total += c * x ** k2 * math.exp(a * x * x)
         if _NORMAL_MIN <= abs(total) < math.inf:
             return total
         if abs(total) < _NORMAL_MIN:

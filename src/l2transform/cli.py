@@ -4,7 +4,8 @@ Every core operation is reachable as a subcommand; expressions travel as
 the JSON documents of :mod:`l2transform.serialization` ("-" reads standard
 input).  Success prints a JSON result on stdout and exits 0.  Failures
 print {"code", "message"} on stderr and exit 2 for schema or precondition
-errors, 3 for numerical failures, 4 for impulse content.
+errors, 3 for numerical failures (a non-finite result included, which JSON
+cannot hold), 4 for impulse content.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = args.handler(args)
+        text = render_json(args.handler(args))
     except (_UsageError, SchemaError, ValueError, GridDomainError,
             NonPositiveSampleError, OSError) as exc:
         return _fail(2, str(exc))
@@ -290,7 +291,7 @@ def main(argv=None) -> int:
         return _fail(3, f"{type(exc).__name__}: {exc}")
     except ImpulseContentError as exc:
         return _fail(4, str(exc))
-    sys.stdout.write(render_json(payload) + "\n")
+    sys.stdout.write(text + "\n")
     return 0
 
 

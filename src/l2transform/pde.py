@@ -464,6 +464,12 @@ def default_grid(x_lo: float = 0.1, x_hi: float = 2.0, nx: int = 10,
     return [(x, t) for x in logspace(x_lo, x_hi, nx) for t in logspace(t_lo, t_hi, nt)]
 
 
+def _max_or_nan(values: list[float]) -> float:
+    """max(values), 0 for none, NaN when any value is NaN (max alone keeps a
+    NaN only when it comes first, so the grid order would decide)."""
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
 def residual(problem: PDEProblem, solution: SeriesSolution,
              grid: Iterable[GridPoint]) -> ResidualReport:
     """Evaluate the problem's equation on the grid with the solution's exact
@@ -511,10 +517,8 @@ def residual(problem: PDEProblem, solution: SeriesSolution,
         points=pts,
         exact=tuple(exact),
         finite_difference=tuple(fd),
-        max_abs=max((abs(r) for r in exact), default=0.0),
-        fd_max_deviation=max(
-            (abs(a - b) for a, b in zip(exact, fd)), default=0.0
-        ),
+        max_abs=_max_or_nan([abs(r) for r in exact]),
+        fd_max_deviation=_max_or_nan([abs(a - b) for a, b in zip(exact, fd)]),
         metadata=dict(solution.metadata),
     )
 

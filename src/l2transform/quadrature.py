@@ -182,14 +182,12 @@ def l2_quadrature(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     growth_rate: Optional[float] = None,
-    envelope_coeff: float = 1.0,
 ) -> float:
     """Numerically evaluate the transform of f at a finite s > 0.
 
     For a GExpr the growth rate and envelope come from its terms; for a bare
-    evaluator callers must declare `growth_rate` rho (and optionally the
-    envelope constant C) bounding |f| <= C exp(rho x^2).  The integral
-    diverges unless s**2 > rho.
+    evaluator callers must declare `growth_rate` rho bounding
+    |f| <= exp(rho x^2).  The integral diverges unless s**2 > rho.
     """
     if not 0 < s < math.inf:  # NaN included
         raise ValueError(f"s must be finite and strictly positive, got {s}")
@@ -219,7 +217,7 @@ def l2_quadrature(
             raise DivergentIntegralError(
                 f"s^2 = {sigma} does not exceed the declared rate {rho}"
             )
-        envelope = [(float(envelope_coeff), 0, sigma - rho)]
+        envelope = [(1.0, 0, sigma - rho)]
 
         def integrand(x: float) -> float:
             return x * math.exp(-sigma * x * x) * f(x)

@@ -17,6 +17,7 @@ carrying the JSON path of the offending field.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from typing import Optional, Union
@@ -54,9 +55,9 @@ def _count(value, path: str) -> int:
 # expression's terms as such value tuples, and the fields in document order,
 # each mapped to its reader.
 _KINDS = {
-    "gexpr": (GExpr, GTerm, lambda e: ((t.c, t.k, t.a) for t in e.terms),
+    "gexpr": (GExpr, GTerm, lambda e: e.terms,
               {"c": rational_from_string, "k": _count, "a": rational_from_string}),
-    "sexpr": (SExpr, STerm, lambda e: ((t.c, t.a, t.m) for t in e.terms),
+    "sexpr": (SExpr, STerm, lambda e: e.terms,
               {"c": rational_from_string, "a": rational_from_string, "m": _count}),
     "lpoly": (LPoly, lambda degree, c: (degree, c), lambda p: p.coefficients,
               {"degree": _count, "c": rational_from_string}),
@@ -120,7 +121,9 @@ def render_json(value) -> str:
     """Deterministic compact JSON with floats at 17 significant digits.
 
     Key order is the construction order of the dicts (reports are built in
-    a fixed order), so repeated runs are byte-identical.
+    a fixed order), so repeated runs are byte-identical.  A tuple renders as
+    an array, so terms come only through object_to_document; a non-finite
+    float has no JSON form and raises OverflowError.
     """
     if isinstance(value, dict):
         inner = ",".join(f"{json.dumps(k)}:{render_json(v)}" for k, v in value.items())
@@ -130,5 +133,7 @@ def render_json(value) -> str:
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise OverflowError(f"non-finite float {value!r} has no JSON form")
         return format(value, ".17g")
     return json.dumps(value)

@@ -15,11 +15,12 @@ the series products are integer arithmetic and each emitted coefficient is
 a single Fraction (the common-denominator technique of Knuth, TAOCP vol. 2,
 4.5.1).
 
-The public constructors canonicalize whatever they are given.
-`SExpr._trusted` and `GExpr._trusted` skip that for output that is canonical
-by construction (Fraction fields, nonzero coefficients, keys strictly
-ascending); only `_product`, `forward`, `inverse`, `delta_s`,
-`partial_fractions` and the paper-convention fold of `pde.solve` use them.
+Terms are validated tuples, and the public constructors canonicalize
+whatever they are given.  `SExpr._trusted` and `GExpr._trusted` skip both
+for output that is canonical by construction (Fraction fields, nonzero
+coefficients, keys strictly ascending): `tuple.__new__` packs each triple,
+the one unchecked term path.  Only `_product`, `forward`, `inverse`,
+`delta_s`, `partial_fractions` and the fold of `pde.solve` use them.
 """
 
 from __future__ import annotations
@@ -29,25 +30,23 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .algebra import GExpr, RationalLike, _is_count, _unchecked, as_rational
+from .algebra import GExpr, RationalLike, _is_count, as_rational
 from .errors import ImpulseContentError
 
 
-@dataclass(frozen=True)
-class STerm:
-    """One term c * (sigma - a)**(-m); m = 0 encodes the constant c."""
+class STerm(NamedTuple("STermFields", [("c", Fraction), ("a", Fraction), ("m", int)])):
+    """One term c * (sigma - a)**(-m), a (c, a, m) tuple; m = 0 encodes the
+    constant c.  Validated like GTerm: c, then a, then m."""
 
-    c: Fraction
-    a: Fraction
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", as_rational(self.c))
-        object.__setattr__(self, "a", as_rational(self.a))
-        if not _is_count(self.m, 0):
-            raise ValueError(f"multiplicity m must be a nonnegative integer, got {self.m!r}")
+    def __new__(cls, c: RationalLike, a: RationalLike, m: int):
+        c, a = as_rational(c), as_rational(a)
+        if not _is_count(m, 0):
+            raise ValueError(f"multiplicity m must be a nonnegative integer, got {m!r}")
+        return tuple.__new__(cls, (c, a, m))
 
 
 @dataclass(frozen=True)
@@ -71,12 +70,8 @@ class SExpr:
         for t in self.terms:
             key = (Fraction(0) if t.m == 0 else t.a, t.m)
             merged[key] = merged.get(key, Fraction(0)) + t.c
-        canon = tuple(
-            STerm(c, a, m)
-            for (a, m), c in sorted(merged.items())
-            if c != 0
-        )
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "terms", tuple(
+            tuple.__new__(STerm, (c, a, m)) for (a, m), c in sorted(merged.items()) if c != 0))
 
     @classmethod
     def _trusted(cls, terms: Iterable[tuple[Fraction, Fraction, int]],
@@ -85,8 +80,9 @@ class SExpr:
         (c nonzero, c and a Fractions with a = 0 where m = 0, m an int >= 0,
         keys (a, m) strictly ascending), built without __post_init__'s
         coercion and re-merge."""
-        return _unchecked(cls, terms=tuple(_unchecked(STerm, c=c, a=a, m=m) for c, a, m in terms),
-                          region=region)
+        out = object.__new__(cls)
+        out.__dict__.update(terms=tuple([tuple.__new__(STerm, t) for t in terms]), region=region)
+        return out
 
     def __add__(self, other: "SExpr") -> "SExpr":
         return add(self, other)
@@ -114,11 +110,11 @@ def _region(exprs: Iterable[SExpr]) -> Optional[Fraction]:
 
 
 def constant(c: RationalLike) -> SExpr:
-    return SExpr((STerm(as_rational(c), Fraction(0), 0),))
+    return SExpr((STerm(c, 0, 0),))
 
 
 def pole(c: RationalLike, a: RationalLike, m: int) -> SExpr:
-    return SExpr((STerm(as_rational(c), as_rational(a), m),))
+    return SExpr((STerm(c, a, m),))
 
 
 def add(s1: SExpr, s2: SExpr) -> SExpr:

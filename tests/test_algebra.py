@@ -1,8 +1,11 @@
 """Function-algebra tests: canonical form, evaluation, arithmetic, the
 (1/x) d/dx derivation, and the x -> 0+ limit."""
 
+import copy
 import math
+import pickle
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from l2transform import GExpr, GTerm, canonicalize, delta_x, evaluate, limit_at_zero
 from l2transform import algebra
+from l2transform import transform as tf
 
 from support import direct_term_sum, rand_gexpr
 
@@ -30,8 +34,13 @@ class TestCanonicalize:
         assert e.terms == ()
         assert not e
 
-    def test_sorted_unique_no_zero_coefficients(self):
-        e = canonicalize([gterm(2, 3, "1/2"), gterm(1, 0, -1), gterm(5, 3, "1/2")])
+    # the second input's tuple order (c first) is not its (a, k) order
+    @pytest.mark.parametrize("terms", [
+        [(2, 3, "1/2"), (1, 0, -1), (5, 3, "1/2")],
+        [(1, 0, 1), (2, 0, -1)],
+    ])
+    def test_sorted_unique_no_zero_coefficients(self, terms):
+        e = canonicalize([gterm(*t) for t in terms])
         keys = [(t.a, t.k) for t in e.terms]
         assert keys == sorted(keys) == list(dict.fromkeys(keys))
         assert all(t.c != 0 for t in e.terms)
@@ -59,9 +68,11 @@ class TestCanonicalize:
             e = rand_gexpr(rng)
             assert canonicalize(e.terms) == e
 
-    def test_rejects_float_coefficients(self):
+    # c is checked before k, so a float c wins over a bad k
+    @pytest.mark.parametrize("args", [(0.5, 0, F(0)), (0.5, -1, 0)])
+    def test_rejects_float_coefficients(self, args):
         with pytest.raises(TypeError):
-            GTerm(0.5, 0, F(0))
+            GTerm(*args)
 
     def test_rejects_negative_half_degree(self):
         with pytest.raises(ValueError):
@@ -128,6 +139,19 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(canonicalize([gterm(1, 0, 0)]), -0.5)
 
+    def test_cached_floats_give_the_per_term_float_sum_bit_for_bit(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            e = rand_gexpr(rng)
+            for x in (0.0, 0.3, 1.0, 1.7, 2.5, 6.0):
+                total = 0.0
+                for t in e.terms:
+                    total += float(t.c) * x ** (2 * t.k) * math.exp(float(t.a) * x * x)
+                if sys.float_info.min <= abs(total) < math.inf:
+                    # the public and the trusted constructor's expression
+                    assert evaluate(e, x) == total
+                    assert evaluate(tf.inverse(tf.forward(e)), x) == total
+
 
 def decimal_value(e: GExpr, x: float) -> float:
     """e(x) summed in 60-digit decimal arithmetic from the exact term data."""
@@ -138,6 +162,52 @@ def decimal_value(e: GExpr, x: float) -> float:
                           * (xd ** (2 * t.k) if t.k else 1)
                           * (Decimal(t.a.numerator) / t.a.denominator * xd * xd).exp()
                           for t in e.terms), Decimal(0)))
+
+
+def _terms():
+    """One term of each type from the public constructors, the canonical
+    rebuild and the trusted path."""
+    return [
+        GTerm(F(1, 2), 1, F(-1)),
+        tf.STerm(F(1, 2), F(-1), 2),
+        GExpr((gterm(1, 0, 0), gterm(2, 0, 0))).terms[0],
+        tf.pole(1, F(1, 3), 2).terms[0],
+        GExpr._trusted([(F(3), 2, F(1, 2))]).terms[0],
+        tf.forward(algebra.gaussian("1/2")).terms[0],
+    ]
+
+
+class TestTermType:
+    @pytest.mark.parametrize("term", _terms())
+    def test_terms_have_no_instance_dict(self, term):
+        assert not hasattr(term, "__dict__")
+
+    @pytest.mark.parametrize("term", _terms())
+    def test_fields_cannot_be_assigned(self, term):
+        with pytest.raises(AttributeError):
+            term.c = F(7)
+
+    def test_trusted_and_public_terms_are_equal_and_of_one_type(self):
+        pairs = [
+            (GExpr._trusted([(F(3), 2, F(1, 2))]).terms[0], GTerm(3, 2, "1/2")),
+            (tf.inverse(tf.pole(1, F(1, 2), 3)).terms[0], GTerm(1, 2, "1/2")),
+            (tf.forward(algebra.gaussian("1/2")).terms[0], tf.STerm(F(1, 2), F(1, 2), 1)),
+            (tf.partial_fractions([(F(1, 3), 2)]).terms[0], tf.STerm(1, F(1, 3), 2)),
+        ]
+        for trusted, public in pairs:
+            assert trusted == public and type(trusted) is type(public)
+
+    def test_expressions_of_equal_triples_differ_by_type(self):
+        # terms are tuples, so GTerm(1, 1, 1) == STerm(1, 1, 1) == (1, 1, 1)
+        g = GExpr((GTerm(1, 1, 1),))
+        s = tf.SExpr((tf.STerm(1, 1, 1),))
+        assert g != s and s != g
+        assert GExpr._trusted([(F(1), 1, F(1))]) != tf.SExpr._trusted([(F(1), F(1), 1)])
+
+    @pytest.mark.parametrize("term", _terms())
+    def test_pickle_and_deepcopy_round_trip(self, term):
+        for copied in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
+            assert copied == term and type(copied) is type(term)
 
 
 class TestArithmetic:

@@ -267,6 +267,16 @@ class TestExitCodes:
         assert code == 3
         assert "Divergent" in json.loads(err)["message"]
 
+    def test_non_finite_result_is_3(self, files, capsys):
+        # the residual is NaN at x = 37.5, which JSON cannot hold
+        code, out, err = run_cli(
+            ["residual", "--family", "C", "--ratio", files["ratio_one"], "--n", "12",
+             "--grid", "36,37.5,2,0.5,1,2"], capsys)
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        doc = json.loads(line)
+        assert set(doc) == {"code", "message"} and doc["code"] == 3
+
     def test_impulse_content_is_4(self, files, capsys):
         code, _, err = run_cli(["invert", files["const_sexpr"]], capsys)
         assert code == 4

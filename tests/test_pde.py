@@ -326,6 +326,16 @@ class TestResidualHarness:
         rep = residual(sol.problem, sol, [(1.0, 1.0)])
         assert "side_condition" in rep.metadata
 
+    def test_maxima_are_nan_whenever_a_point_is_nan(self):
+        # at x = 37.5 family C's Horner sums overflow to inf and inf - inf
+        # gives NaN; the maxima must not depend on where in the grid it sits
+        sol = solve_family_c(M_ONE, 12)
+        grid = default_grid(36, 37.5, 2, 0.5, 1, 2)
+        for order in (grid, grid[::-1]):
+            rep = residual(sol.problem, sol, order)
+            assert any(map(math.isnan, rep.exact))
+            assert math.isnan(rep.max_abs) and math.isnan(rep.fd_max_deviation)
+
     def test_fd_agreement_every_family(self):
         sols = [
             solve_family_a(20),

@@ -1,6 +1,7 @@
 """Document round trips and schema diagnostics."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -169,3 +170,17 @@ class TestRenderJson:
     def test_deterministic(self):
         doc = {"x": 0.1, "y": [1e-17, 3.0]}
         assert render_json(doc) == render_json(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_are_refused(self, value):
+        with pytest.raises(OverflowError):
+            render_json({"residual": [1.0, value]})
+
+    @pytest.mark.parametrize("obj", [algebra.gaussian("1/2", c=F(-2, 3), k=1),
+                                     pole(F(1, 2), F(1, 2), 1) + pole(3, 0, 0)])
+    def test_documents_hold_no_tuples(self, obj):
+        # terms are tuples, and render_json would write one as an array
+        doc = serialization.object_to_document(obj)
+        assert type(doc["terms"]) is list
+        for term in doc["terms"]:
+            assert type(term) is dict and not any(isinstance(v, tuple) for v in term.values())
