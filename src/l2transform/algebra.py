@@ -57,6 +57,11 @@ class GTerm(NamedTuple("GTermFields", [("c", Fraction), ("k", int), ("a", Fracti
             raise ValueError(f"half-degree k must be a nonnegative integer, got {k!r}")
         return tuple.__new__(cls, (c, k, a))
 
+    @classmethod
+    def _make(cls, iterable) -> "GTerm":
+        """A validated term from (c, k, a); `_replace` builds through this."""
+        return cls(*iterable)
+
 
 @dataclass(frozen=True)
 class GExpr:

@@ -255,6 +255,15 @@ class PDEProblem:
         return self.row.text
 
 
+def _horner(coeffs: tuple[float, ...], z: float) -> float:
+    """p(z), p given from the highest power down.  The same float operations
+    as the value half of `_horner_jet`, so both give bit-equal values."""
+    p = 0.0
+    for c in coeffs:
+        p = p * z + c
+    return p
+
+
 def _horner_jet(low: int, coeffs: tuple[float, ...], z: float) -> tuple[float, float]:
     """z^low p(z) and its derivative, p given from the highest power down:
     Horner with derivative (Knuth, TAOCP vol. 2, 4.6.4)."""
@@ -287,7 +296,13 @@ class _HornerTable:
                 table.append((low, tuple(poly.get(n, 0.0) for n in range(max(poly), low - 1, -1))))
             self.rates.append((a, tuple(table)))
 
-    def collapse(self, tau: float) -> list[tuple[float, tuple[float, ...], tuple[float, ...]]]:
+    def collapse(self, tau: float) -> list[tuple[float, tuple[float, ...]]]:
+        """Per rate a: the y-coefficients of S at tau, from the highest
+        y-power down; bit-equal to the first half of `collapse_jet`."""
+        return [(a, tuple(tau ** low * _horner(coeffs, tau) for low, coeffs in table))
+                for a, table in self.rates]
+
+    def collapse_jet(self, tau: float) -> list[tuple[float, tuple[float, ...], tuple[float, ...]]]:
         """Per rate a: the y-coefficients of S at tau and their
         tau-derivatives, each from the highest y-power down."""
         return [(a, *zip(*(_horner_jet(low, coeffs, tau) for low, coeffs in table)))
@@ -307,7 +322,9 @@ class SeriesSolution:
     `profiles` are the exact X_n (n = 0, 1, ..., depth; only X_0 when
     r1 = 0); `tau` defaults to the antiderivative of the problem's ratio;
     P(t) = exp(-prefactor * tau(t)), 1 when `prefactor` is 0.  `at(t)`
-    evaluates u and its derivatives from one float table; no numeric
+    evaluates u and its derivatives from one float table; `value(x, t)`
+    reads u alone from the same table by a value-only path whose float
+    operations are those of `at`, so the two agree bit for bit.  No numeric
     differentiation happens inside a solution.
     """
 
@@ -325,7 +342,7 @@ class SeriesSolution:
             self.anti.evaluate, self.ratio.evaluate, self.anti.evaluate_exact)
         self.prefactor = float(prefactor)
         self._table = _HornerTable(self.profiles)
-        self._latest = (None, None)  # (t, at(t)) of the latest value call
+        self._latest = (None, None)  # (t, _value_at(t)) of the latest value call
 
     def at(self, t: float) -> Callable[[float], tuple[float, float, float, float]]:
         """x -> (u, u_t, u_x, u_xt) at time t.  One collapse of tau gives the
@@ -334,7 +351,7 @@ class SeriesSolution:
         S_y = e^(a y) (a p + p') per rate a, then u_x = 2 x S_y and
         u_t = tau'(t) S_tau."""
         tau, tau_t = self.tau.value(t), self.tau.derivative(t)
-        collapsed = self._table.collapse(tau)
+        collapsed = self._table.collapse_jet(tau)
         if self.prefactor:
             k = self.prefactor
             p = math.exp(-k * tau)
@@ -355,14 +372,33 @@ class SeriesSolution:
 
         return jet
 
+    def _value_at(self, t: float) -> Callable[[float], float]:
+        """x -> u at time t: the u of `at(t)` by the same float operations,
+        without the derivatives (y^0 * p == p in `_horner_jet`)."""
+        tau = self.tau.value(t)
+        collapsed = self._table.collapse(tau)
+        if self.prefactor:
+            p = math.exp(-self.prefactor * tau)
+            collapsed = [(a, [p * c for c in cs]) for a, cs in collapsed]
+
+        def u(x: float) -> float:
+            y = x * x
+            s = 0.0
+            for a, cs in collapsed:
+                s += (math.exp(a * y) if a else 1.0) * _horner(cs, y)
+            return s
+
+        return u
+
     def value(self, x: float, t: float) -> float:
-        """u(x, t); points at one t share one collapse.  `_latest` is read and
-        replaced as one tuple, so a race costs at most an extra collapse."""
-        latest_t, jet = self._latest
+        """u(x, t), equal to `at(t)(x)[0]`; points at one t share one
+        collapse.  `_latest` is read and replaced as one tuple, so a race
+        costs at most an extra collapse."""
+        latest_t, u = self._latest
         if latest_t != t:
-            jet = self.at(t)
-            self._latest = (t, jet)
-        return jet(x)[0]
+            u = self._value_at(t)
+            self._latest = (t, u)
+        return u(x)
 
     def star_part(self, n: int) -> GExpr:
         """inverse(u_hat_0 r1^n), which is profile n without its series
@@ -472,17 +508,19 @@ def _max_or_nan(values: list[float]) -> float:
 
 def residual(problem: PDEProblem, solution: SeriesSolution,
              grid: Iterable[GridPoint]) -> ResidualReport:
-    """Evaluate the problem's equation on the grid with the solution's exact
+    """Evaluate the solution's equation on the grid with its exact
     derivatives, then recompute every point with central finite differences
     of the solution values (step FD_STEP) as an independent cross-check.
+    `problem` must equal `solution.problem` (ValueError otherwise): the
+    equation, ratio and convention are the ones the series was built for.
 
-    Every point needs x > FD_STEP and t > FD_STEP, so that the differences
-    stay inside the domain; other points raise GridDomainError."""
-    if problem.family is not solution.problem.family:
-        raise ValueError(
-            f"problem family {problem.family.value} does not match "
-            f"solution family {solution.problem.family.value}"
-        )
+    Each grid time gets one jet (`solution.at`); the eight stencil values
+    around a point read u alone, from one value closure per distinct time
+    t - h, t, t + h.  Every point needs x > FD_STEP and t > FD_STEP, so that
+    the differences stay inside the domain; other points raise
+    GridDomainError."""
+    if problem != solution.problem:
+        raise ValueError(f"{problem!r} does not match the solution's {solution.problem!r}")
     pts = tuple((float(x), float(t)) for x, t in grid)
     for x, t in pts:
         if x <= FD_STEP or t <= FD_STEP:
@@ -491,23 +529,23 @@ def residual(problem: PDEProblem, solution: SeriesSolution,
                 "where the finite differences stay in the domain")
 
     h = FD_STEP
-    # one tau-collapse per distinct t, the finite-difference times included
-    at = {s: solution.at(s) for s in {s for _, t in pts for s in (t - h, t, t + h)}}
-
-    def v(x: float, t: float) -> float:
-        return at[t](x)[0]
+    # one jet collapse per grid time; one value collapse per stencil time
+    times = {t for _, t in pts}
+    jets = {t: solution.at(t) for t in times}
+    v = {s: solution._value_at(s) for s in {s for t in times for s in (t - h, t, t + h)}}
 
     equation, ratio = problem.row.residual, problem.ratio
     exact = []
     fd = []
     for x, t in pts:
         f = None if ratio is None else ratio.evaluate(t)
-        u, *derivatives = at[t](x)
+        u, *derivatives = jets[t](x)
         exact.append(equation(f, x, t, u, *derivatives))
-        ut = (v(x, t + h) - v(x, t - h)) / (2 * h)
-        ux = (v(x + h, t) - v(x - h, t)) / (2 * h)
-        uxt = (v(x + h, t + h) - v(x + h, t - h)
-               - v(x - h, t + h) + v(x - h, t - h)) / (4 * h * h)
+        before, now, after = v[t - h], v[t], v[t + h]
+        ut = (after(x) - before(x)) / (2 * h)
+        ux = (now(x + h) - now(x - h)) / (2 * h)
+        uxt = (after(x + h) - before(x + h)
+               - after(x - h) + before(x - h)) / (4 * h * h)
         fd.append(equation(f, x, t, u, ut, ux, uxt))
 
     return ResidualReport(

@@ -48,6 +48,11 @@ class STerm(NamedTuple("STermFields", [("c", Fraction), ("a", Fraction), ("m", i
             raise ValueError(f"multiplicity m must be a nonnegative integer, got {m!r}")
         return tuple.__new__(cls, (c, a, m))
 
+    @classmethod
+    def _make(cls, iterable) -> "STerm":
+        """A validated term from (c, a, m); `_replace` builds through this."""
+        return cls(*iterable)
+
 
 @dataclass(frozen=True)
 class SExpr:

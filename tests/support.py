@@ -1,7 +1,7 @@
 """Shared test helpers: seeded random expression generators, an
 independent dense-polynomial oracle for recombining partial fractions,
-float evaluators used only as oracles, and the environment for CLI
-subprocesses.
+float evaluators used only as oracles, a slow finite-difference reference
+for the residual harness, and the environment for CLI subprocesses.
 
 The polynomial helpers deliberately know nothing about the package's
 transform module; they manipulate plain coefficient lists of Fractions so
@@ -19,6 +19,7 @@ from pathlib import Path
 import l2transform
 from l2transform import GExpr, GTerm, evaluate
 from l2transform.algebra import _term_logs
+from l2transform.pde import FD_STEP
 from l2transform.transform import SExpr
 
 
@@ -179,3 +180,25 @@ def term_value(sol, n: int, x: float, t: float) -> float:
         return 0.0
     tau = sol.tau.value(t)
     return math.exp(-float(sol.prefactor) * tau) * tau ** n * evaluate(sol.profiles[n], x)
+
+
+def finite_difference_reference(sol, grid) -> tuple[float, ...]:
+    """The `finite_difference` column of `residual(sol.problem, sol, grid)`,
+    with every value u, the eight stencil values included, read from the
+    full jet as sol.at(s)(x)[0]: one collapse per value, the same float
+    formulas as the harness."""
+    h = FD_STEP
+    equation, ratio = sol.problem.row.residual, sol.problem.ratio
+
+    def v(x: float, t: float) -> float:
+        return sol.at(t)(x)[0]
+
+    out = []
+    for x, t in grid:
+        f = None if ratio is None else ratio.evaluate(t)
+        ut = (v(x, t + h) - v(x, t - h)) / (2 * h)
+        ux = (v(x + h, t) - v(x - h, t)) / (2 * h)
+        uxt = (v(x + h, t + h) - v(x + h, t - h)
+               - v(x - h, t + h) + v(x - h, t - h)) / (4 * h * h)
+        out.append(equation(f, x, t, v(x, t), ut, ux, uxt))
+    return tuple(out)

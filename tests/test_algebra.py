@@ -204,6 +204,17 @@ class TestTermType:
         assert g != s and s != g
         assert GExpr._trusted([(F(1), 1, F(1))]) != tf.SExpr._trusted([(F(1), F(1), 1)])
 
+    @pytest.mark.parametrize("cls, count", [(GTerm, "k"), (tf.STerm, "m")])
+    def test_make_and_replace_validate(self, cls, count):
+        term = cls(1, 0, 0)
+        with pytest.raises(ValueError):
+            term._replace(**{count: -1})
+        with pytest.raises(TypeError):
+            cls._make((0.5, 0, 0))
+        replaced = term._replace(c="1/2")
+        assert replaced == cls(F(1, 2), 0, 0) and type(replaced) is cls
+        assert type(cls._make((1, 0, 0))) is cls
+
     @pytest.mark.parametrize("term", _terms())
     def test_pickle_and_deepcopy_round_trip(self, term):
         for copied in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):

@@ -2,11 +2,15 @@
 finite-difference cross-check, exact transform-domain identities, tail
 bounds against extended partial sums, and exact rational profiles."""
 
+import functools
 import math
 import random
+import struct
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l2transform import (
     Convention, EXP_HALF, Family, GExpr, GTerm, GridDomainError, LPoly, algebra,
@@ -16,13 +20,37 @@ from l2transform import (
 )
 from l2transform import pde
 
-from support import log_abs_envelope, rand_fraction, term_value
+from support import finite_difference_reference, log_abs_envelope, rand_fraction, term_value
 
 GRID = default_grid()
+SMALL_GRID = default_grid(0.2, 2, 4, 0.5, 2, 4)
 M_ONE = lpoly({0: 1})
 M_T = lpoly({1: 1})
 M_2T = lpoly({1: 2})
 M_1PT = lpoly({0: 1, 1: 1})
+RATIOS = (M_ONE, lpoly({0: 1, 1: F(1, 3)}), lpoly({0: F(-2, 3), 2: F(5, 7), 3: 1}))
+
+VARIANTS = {
+    "A": lambda ratio, n: solve_family_a(n),
+    "B-derived": lambda ratio, n: solve_family_b(ratio, n),
+    "B-paper": lambda ratio, n: solve_family_b(ratio, n, Convention.PAPER_LITERAL),
+    "C-derived": lambda ratio, n: solve_family_c(ratio, n),
+    "C-paper": lambda ratio, n: solve_family_c(ratio, n, Convention.PAPER_LITERAL),
+    "D": lambda ratio, n: solve_family_d(ratio, n),
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _solution(variant: str, ratio: LPoly, depth: int):
+    return VARIANTS[variant](ratio, depth)
+
+
+def _bits(f, *args):
+    """f(*args) as its IEEE-754 bytes, or the type of the error it raised."""
+    try:
+        return struct.pack("<d", f(*args))
+    except ArithmeticError as error:
+        return type(error)
 
 
 class TestLPoly:
@@ -266,6 +294,14 @@ class TestValue:
             sol.value(0.5 + 0.1 * i, 1.0)
         assert len(calls) == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(variant=st.sampled_from(sorted(VARIANTS)), ratio=st.sampled_from(RATIOS),
+           depth=st.integers(1, 40), x=st.one_of(st.just(0.0), st.floats(0, 3)),
+           t=st.floats(0, 3, exclude_min=True))
+    def test_value_path_is_the_jet_bit_for_bit(self, variant, ratio, depth, x, t):
+        sol = _solution(variant, ratio, depth)
+        assert _bits(sol.value, x, t) == _bits(lambda x, t: sol.at(t)(x)[0], x, t)
+
 
 class TestFamilyD:
     def test_zero_ratio(self):
@@ -320,6 +356,44 @@ class TestResidualHarness:
     def test_rejects_family_mismatch(self):
         with pytest.raises(ValueError):
             residual(pde.PDEProblem(Family.A), solve_family_d(M_ONE), GRID)
+        # same family, another equation: another ratio, or another convention
+        sol = solve_family_b(M_ONE, 5)
+        for problem in (pde.PDEProblem(Family.B, M_2T, Convention.DERIVED),
+                        pde.PDEProblem(Family.B, M_ONE, Convention.PAPER_LITERAL),
+                        pde.PDEProblem(Family.B, M_ONE)):
+            with pytest.raises(ValueError):
+                residual(problem, sol, GRID)
+        assert residual(pde.PDEProblem(Family.B, lpoly({0: 1}), Convention.DERIVED),
+                        sol, GRID) == residual(sol.problem, sol, GRID)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_stencil_equals_the_jet_reference(self, variant):
+        for ratio in RATIOS:
+            for depth in (1, 5, 12, 40):
+                sol = _solution(variant, ratio, depth)
+                rep = residual(sol.problem, sol, SMALL_GRID)
+                assert rep.finite_difference == finite_difference_reference(sol, SMALL_GRID)
+
+    def test_one_jet_per_point_and_one_collapse_per_time(self, monkeypatch):
+        sol = solve_family_b(M_1PT, 12)
+        calls = {"collapse": [], "collapse_jet": [], "jet": []}
+
+        def counted(name, f):
+            def wrapper(arg):
+                calls[name].append(arg)
+                return f(arg)
+            return wrapper
+
+        for name in ("collapse", "collapse_jet"):
+            monkeypatch.setattr(sol._table, name, counted(name, getattr(sol._table, name)))
+        at = sol.at
+        monkeypatch.setattr(sol, "at", lambda t: counted("jet", at(t)))
+        rep = residual(sol.problem, sol, SMALL_GRID)
+        h = pde.FD_STEP
+        times = {t for _, t in SMALL_GRID}
+        assert len(calls["collapse_jet"]) == len(times)
+        assert len(calls["collapse"]) == len({s for t in times for s in (t - h, t, t + h)})
+        assert len(calls["jet"]) == len(rep.points)
 
     def test_family_a_metadata_records_side_condition(self):
         sol = solve_family_a(5)
@@ -493,19 +567,10 @@ class TestJet:
     tau-derivative, and delta_x of both, built exactly at rational t0 and
     then evaluated in floats, within 1e-12 of their term-wise envelopes."""
 
-    CASES = {
-        "A": lambda: solve_family_a(12),
-        "B-derived": lambda: solve_family_b(M_1PT, 12),
-        "B-paper": lambda: solve_family_b(M_1PT, 12, Convention.PAPER_LITERAL),
-        "C-derived": lambda: solve_family_c(M_1PT, 12),
-        "C-paper": lambda: solve_family_c(M_1PT, 12, Convention.PAPER_LITERAL),
-        "D": lambda: solve_family_d(M_1PT),
-    }
-
-    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
     @pytest.mark.parametrize("t0", [F(1, 2), F(1), F(3, 2)])
     def test_jet_matches_the_exact_algebra(self, name, t0):
-        sol = self.CASES[name]()
+        sol = _solution(name, M_1PT, 12)
         tau = sol.tau.exact(t0)
         tau_t = -2 / t0 ** 3 if sol.ratio is None else sol.ratio.evaluate_exact(t0)
         orders = range(len(sol.profiles))
@@ -553,22 +618,14 @@ class TestClosedForms:
     """Every variant's profiles, time variable and prefactor against its
     closed form, structurally, at every depth from 1 to 40."""
 
-    SOLVERS = {
-        "A": lambda n: solve_family_a(n),
-        "B-derived": lambda n: solve_family_b(M_1PT, n),
-        "B-paper": lambda n: solve_family_b(M_1PT, n, Convention.PAPER_LITERAL),
-        "C-derived": lambda n: solve_family_c(M_1PT, n),
-        "C-paper": lambda n: solve_family_c(M_1PT, n, Convention.PAPER_LITERAL),
-        "D": lambda n: solve_family_d(M_1PT, n),
-    }
     PREFACTOR = {"B-derived", "D"}  # P = exp(-MM); P = 1 for the others
 
-    @pytest.mark.parametrize("variant", sorted(SOLVERS))
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_profiles_are_the_closed_forms(self, variant):
         t0 = F(3, 2)
         tau0 = t0 ** -2 if variant == "A" else t0 + t0 ** 2 / 2  # t^-2, or MM for M = 1 + t
         for depth in range(1, 41):
-            sol = self.SOLVERS[variant](depth)
+            sol = VARIANTS[variant](M_1PT, depth)
             assert sol.depth == depth
             assert sol.profiles == _closed_form_profiles(variant, depth), (variant, depth)
             assert bool(sol.prefactor) == (variant in self.PREFACTOR)
