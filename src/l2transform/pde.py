@@ -28,15 +28,18 @@ p = -c / (2d).  Writing F = -sign * tau for the row's time variable tau,
     X_n = sign^n / n! * inverse(u_hat_0 r1^n),
 
 with u_hat_0 = T{1} = 1/(2 sigma), or for family C the formal unit, whose
-retained function is 1.  Every candidate is one `SeriesSolution` holding
-the exact profiles X_n, tau and the prefactor rate.
+retained function is 1.  u_hat_0 r1^n is one pole term, so `solve` writes
+X_n down by inverse's term rule.  Every candidate is one `SeriesSolution`
+holding the exact profiles X_n, tau and the prefactor rate.
 
 Families B and C each carry two sign conventions: `derived` (the series
 above) and `paper_literal` (the sign of tau flipped; a factor
-exp(+(b/d) tau) is multiplied into the series and summed by total order).
-The harness reports residuals, it does not assume any candidate actually
-solves its equation; family C's retained unit term, for instance,
-contributes exactly H(t) to the derived residual.
+exp(+(b/d) tau) is multiplied into the series and summed by total order,
+exactly on the first read of `SeriesSolution.profiles`, and in the float
+table by one product per coefficient).  The harness reports residuals, it
+does not assume any candidate actually solves its equation; family C's
+retained unit term, for instance, contributes exactly H(t) to the derived
+residual.
 """
 
 from __future__ import annotations
@@ -277,14 +280,21 @@ def _horner_jet(low: int, coeffs: tuple[float, ...], z: float) -> tuple[float, f
 class _HornerTable:
     """Float form of S = sum_n tau^n X_n(x) for exact profiles X_n: per
     Gaussian rate a, e^(a y) times a polynomial in y = x^2 whose y^k
-    coefficient is a polynomial in tau with its lowest power factored out."""
+    coefficient is a polynomial in tau with its lowest power factored out.
+    Profile n's term c x^(2k) e^(a y) puts c w_j in slot (a, k, n + j) for
+    the fold weights w_j, (1,) for no fold.  Each slot gets one product (see
+    `SeriesSolution`), and int / int true division rounds it correctly, as
+    float() of the exact folded coefficient does."""
 
-    def __init__(self, profiles: tuple[GExpr, ...]):
+    def __init__(self, profiles: tuple[GExpr, ...], weights: tuple[Fraction, ...]):
         by_rate: dict[float, dict[int, dict[int, float]]] = {}
+        ws = [(w.numerator, w.denominator) for w in weights]
         for n, profile in enumerate(profiles):
-            for term in profile.terms:
-                poly = by_rate.setdefault(float(term.a), {}).setdefault(term.k, {})
-                poly[n] = poly.get(n, 0.0) + float(term.c)
+            for c, k, a in profile.terms:
+                poly = by_rate.setdefault(float(a), {}).setdefault(k, {})
+                num, den = c.numerator, c.denominator
+                for q, (w_num, w_den) in enumerate(ws[:len(profiles) - n], n):
+                    poly[q] = poly.get(q, 0.0) + (num * w_num) / (den * w_den)
         # per rate: the y-coefficients from the highest y-power down, each
         # (lowest tau-power, coefficients from the highest tau-power down)
         self.rates = []
@@ -321,8 +331,11 @@ class SeriesSolution:
 
     `profiles` are the exact X_n (n = 0, 1, ..., depth; only X_0 when
     r1 = 0); `tau` defaults to the antiderivative of the problem's ratio;
-    P(t) = exp(-prefactor * tau(t)), 1 when `prefactor` is 0.  `at(t)`
-    evaluates u and its derivatives from one float table; `value(x, t)`
+    P(t) = exp(-prefactor * tau(t)), 1 when `prefactor` is 0.  A folded
+    problem is given the unfolded X_n and the exact rate k: its `profiles`
+    multiply P = sum_j (-k tau)^j / j! in by total order on first read, and
+    its `prefactor` is 0.  `at(t)` evaluates u and its derivatives from one
+    float table, built without that exact fold; `value(x, t)`
     reads u alone from the same table by a value-only path whose float
     operations are those of `at`, so the two agree bit for bit.  No numeric
     differentiation happens inside a solution.
@@ -330,19 +343,33 @@ class SeriesSolution:
 
     def __init__(self, problem: PDEProblem, depth: int, metadata: dict,
                  profiles: Iterable[GExpr], tau: Optional[TimeVariable] = None,
-                 prefactor: float = 0.0):
-        _orders(depth)
+                 prefactor: RationalLike = 0):
+        orders = _orders(depth)
         self.problem = problem
         self.depth = depth
         self.metadata = metadata
         self.ratio = problem.ratio
         self.anti = None if problem.ratio is None else problem.ratio.antiderivative()
-        self.profiles = tuple(profiles)
+        self._profiles = tuple(profiles)
         self.tau = tau or TimeVariable(
             self.anti.evaluate, self.ratio.evaluate, self.anti.evaluate_exact)
-        self.prefactor = float(prefactor)
-        self._table = _HornerTable(self.profiles)
+        rate = as_rational(prefactor)
+        # the fold weights of P, (1,) for no fold.  The row that folds (B) has
+        # p = 0 and u_hat_0 = T{1}, so X_i is one term at x^(2i): each folded
+        # sum is canonical as built, and each table slot gets one product
+        self._weights = (tuple((-rate) ** j / math.factorial(j) for j in orders)
+                         if problem.folded else (Fraction(1),))
+        self.prefactor = 0.0 if problem.folded else float(rate)
+        self._table = _HornerTable(self._profiles, self._weights)
         self._latest = (None, None)  # (t, _value_at(t)) of the latest value call
+
+    @cached_property
+    def profiles(self) -> tuple[GExpr, ...]:
+        """The exact X_n with the fold weights summed in, sum_(i+j=q) w_j X_i,
+        made on first read."""
+        xs, ws = self._profiles, self._weights
+        return tuple(GExpr._trusted((c * ws[q - i], k, a) for i in range(max(0, q + 1 - len(ws)), q + 1)
+                                    for c, k, a in xs[i].terms) for q in range(len(xs)))
 
     def at(self, t: float) -> Callable[[float], tuple[float, float, float, float]]:
         """x -> (u, u_t, u_x, u_xt) at time t.  One collapse of tau gives the
@@ -404,9 +431,9 @@ class SeriesSolution:
         """inverse(u_hat_0 r1^n), which is profile n without its series
         weight sign^n / n!; for family C the n-th convolution power of
         e^(x^2/2).  Needs an unfolded series and 1 <= n < len(profiles)."""
-        if self.problem.folded or not 1 <= n < len(self.profiles):
+        if self.problem.folded or not 1 <= n < len(self._profiles):
             raise ValueError(f"star_part({n}) needs an unfolded series and 1 <= n <= depth")
-        return algebra.scale(self.profiles[n], self.problem.sign ** n * math.factorial(n))
+        return algebra.scale(self._profiles[n], self.problem.sign ** n * math.factorial(n))
 
 
 def solve(family: Family, ratio: Optional[LPoly], depth: int,
@@ -418,22 +445,18 @@ def solve(family: Family, ratio: Optional[LPoly], depth: int,
     orders = _orders(depth)
     k1, p, kappa = row.recipe
     sign = problem.sign
-    (u0,) = row.u0.terms
-    # u_hat_0 r1^n = pole(c0 k1^n, p, m0 + n): u_hat_0 sits at r1's pole or
-    # is the unit; X_0 is the function 1 either way, and r1 = 0 leaves only it
+    ((c0, _, m0),) = row.u0.terms
+    # u_hat_0 r1^n = pole(c0 k1^n, p, m0 + n): u_hat_0 sits at r1's pole or is
+    # the unit.  inverse's term rule makes X_n = sign^n / n! inverse(...) the
+    # one term 2 c0 (sign k1)^n x^(2(m0+n-1)) e^(p x^2) / (n! (m0+n-1)!); X_0
+    # is the function 1 either way, and r1 = 0 leaves only it
     profiles = [algebra.constant(1)] + [
-        tf.inverse(tf.pole(Fraction(sign ** n, math.factorial(n)) * u0.c * k1 ** n, p, u0.m + n))
+        GExpr._trusted(((Fraction(2 * c0.numerator * (sign * k1.numerator) ** n,
+                                  c0.denominator * k1.denominator ** n
+                                  * math.factorial(n) * math.factorial(m0 + n - 1)),
+                         m0 + n - 1, p),))
         for n in (orders[1:] if k1 else ())]
     rate = -sign * kappa  # the prefactor exp(sign (b/d) tau) = exp(-rate tau)
-    if problem.folded:
-        # exp(-rate tau) = sum_j (-rate tau)^j / j!, summed with the series by
-        # total order.  The row that folds (B) has u_hat_0 = T{1} and p = 0,
-        # so X_i is one term at x^(2i) and each sum is canonical as built
-        weights = [(-rate) ** j / math.factorial(j) for j in orders]
-        profiles = [GExpr._trusted((term.c * weights[q - i], term.k, term.a)
-                                   for i in range(q + 1) for term in profiles[i].terms)
-                    for q in orders]
-        rate = 0
     metadata = ({"convention": problem.convention.value} if problem.convention else {}) | row.metadata
     return SeriesSolution(problem, depth, metadata, profiles, row.tau, rate)
 

@@ -20,7 +20,8 @@ whatever they are given.  `SExpr._trusted` and `GExpr._trusted` skip both
 for output that is canonical by construction (Fraction fields, nonzero
 coefficients, keys strictly ascending): `tuple.__new__` packs each triple,
 the one unchecked term path.  Only `_product`, `forward`, `inverse`,
-`delta_s`, `partial_fractions` and the fold of `pde.solve` use them.
+`delta_s`, `partial_fractions`, the profile builder `pde.solve` and the
+fold of `pde.SeriesSolution.profiles` use them.
 """
 
 from __future__ import annotations
@@ -230,8 +231,10 @@ def _truncated_product(left: tuple[list[int], int],
     return out, p_den * q_den
 
 
-def _product(factors: list[SExpr]) -> SExpr:
-    """Exact product of transform-domain expressions in canonical form.
+def _product(factors: list[SExpr], exponent: int = 1) -> SExpr:
+    """Exact product of transform-domain expressions in canonical form,
+    raised to `exponent` (a power passes its base once, so that base's
+    series at each pole is computed once).
 
     At each pole a of total order N (the sum of the factors' highest
     multiplicities M there), (sigma - a)**N times the product is the product
@@ -245,15 +248,15 @@ def _product(factors: list[SExpr]) -> SExpr:
     total: Counter[Fraction] = Counter()
     for s in factors:
         # terms are sorted by (a, m), so the last one at a has the highest m
-        total.update({t.a: t.m for t in s.terms if t.m})
-    const = math.prod((next((t.c for t in s.terms if t.m == 0), 0) for s in factors),
+        total.update({t.a: exponent * t.m for t in s.terms if t.m})
+    const = math.prod([next((t.c for t in s.terms if t.m == 0), 0) for s in factors] * exponent,
                       start=Fraction(1))
     out = []
     for a, n in sorted(total.items()):
         if const and a >= 0:
             out.append((const, Fraction(0), 0))
             const = 0
-        series, den = reduce(_truncated_product, (_laurent_factor(s, a, n) for s in factors))
+        series, den = reduce(_truncated_product, [_laurent_factor(s, a, n) for s in factors] * exponent)
         out.extend((Fraction(series[j], den), a, n - j) for j in reversed(range(n)) if series[j])
     if const:
         out.append((const, Fraction(0), 0))
@@ -279,5 +282,5 @@ def power(s: SExpr, n: int) -> SExpr:
     """n-th product power, n >= 1."""
     if not _is_count(n, 1):
         raise ValueError(f"power expects a positive integer, got {n!r}")
-    return _product([s] * n)
+    return _product([s], n)
 

@@ -1,7 +1,9 @@
 """Shared test helpers: seeded random expression generators, an
 independent dense-polynomial oracle for recombining partial fractions,
 float evaluators used only as oracles, a slow finite-difference reference
-for the residual harness, and the environment for CLI subprocesses.
+for the residual harness, the slow transform-domain route to the section-6
+profiles with an eager total-order fold, and the environment for CLI
+subprocesses.
 
 The polynomial helpers deliberately know nothing about the package's
 transform module; they manipulate plain coefficient lists of Fractions so
@@ -17,9 +19,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import l2transform
-from l2transform import GExpr, GTerm, evaluate
+from l2transform import GExpr, GTerm, algebra, evaluate
+from l2transform import transform as tf
 from l2transform.algebra import _term_logs
-from l2transform.pde import FD_STEP
+from l2transform.pde import FD_STEP, PDEProblem
 from l2transform.transform import SExpr
 
 
@@ -202,3 +205,30 @@ def finite_difference_reference(sol, grid) -> tuple[float, ...]:
                - v(x - h, t + h) + v(x - h, t - h)) / (4 * h * h)
         out.append(equation(f, x, t, v(x, t), ut, ux, uxt))
     return tuple(out)
+
+
+def pole_profiles(problem: PDEProblem, depth: int) -> tuple[GExpr, ...]:
+    """The unfolded section-6 profiles X_0..X_depth of a problem's row, the
+    slow way: X_n = inverse(pole(sign^n / n! * c0 k1^n, p, m0 + n)) through
+    the transform's public constructors, where u_hat_0 = c0 (sigma - p)^-m0
+    or the unit; X_0 = 1, and r1 = 0 (k1 = 0) leaves only X_0."""
+    k1, p, _ = problem.row.recipe
+    (u0,) = problem.row.u0.terms
+    return (algebra.constant(1),) + tuple(
+        tf.inverse(tf.pole(Fraction(problem.sign ** n, math.factorial(n)) * u0.c * k1 ** n,
+                           p, u0.m + n))
+        for n in range(1, depth + 1) if k1)
+
+
+def eager_fold(problem: PDEProblem, profiles: tuple[GExpr, ...]) -> tuple[GExpr, ...]:
+    """Profiles of a folded problem with exp(sign (b/d) tau) multiplied in by
+    total order, sum_(i+j=q) (sign b/d)^j / j! X_i, each sum canonicalized by
+    the public GExpr constructor; the profiles as given when the problem
+    does not fold."""
+    if not problem.folded:
+        return profiles
+    rate = problem.sign * problem.row.recipe[2]
+    w = [rate ** j / math.factorial(j) for j in range(len(profiles))]
+    return tuple(GExpr(tuple(GTerm(t.c * w[q - i], t.k, t.a)
+                             for i in range(q + 1) for t in profiles[i].terms))
+                 for q in range(len(profiles)))

@@ -20,7 +20,10 @@ from l2transform import (
 )
 from l2transform import pde
 
-from support import finite_difference_reference, log_abs_envelope, rand_fraction, term_value
+from support import (
+    eager_fold, finite_difference_reference, log_abs_envelope, pole_profiles, rand_fraction,
+    term_value,
+)
 
 GRID = default_grid()
 SMALL_GRID = default_grid(0.2, 2, 4, 0.5, 2, 4)
@@ -630,6 +633,64 @@ class TestClosedForms:
             assert sol.profiles == _closed_form_profiles(variant, depth), (variant, depth)
             assert bool(sol.prefactor) == (variant in self.PREFACTOR)
             assert sol.tau.exact(t0) == tau0
+
+
+def _float_table(profiles: tuple[GExpr, ...]) -> list:
+    """The layout of `_HornerTable.rates` for S = sum_n tau^n X_n, read off
+    exact profiles: per rate ascending, per y-power k from the highest down,
+    (lowest tau-power, float(c) from the highest tau-power down, 0.0 where
+    X_n has no term at k)."""
+    slots: dict = {}
+    for n, profile in enumerate(profiles):
+        for t in profile.terms:
+            slots.setdefault(t.a, {}).setdefault(t.k, {})[n] = float(t.c)
+    rates = []
+    for a, polys in sorted(slots.items()):
+        rows = []
+        for k in range(max(polys), -1, -1):
+            poly = polys.get(k, {0: 0.0})
+            low = min(poly)
+            rows.append((low, tuple(poly.get(n, 0.0) for n in range(max(poly), low - 1, -1))))
+        rates.append((float(a), tuple(rows)))
+    return rates
+
+
+def _ieee(rates: list) -> list:
+    """A float table with every float replaced by its IEEE-754 bytes."""
+    return [(struct.pack("<d", a), tuple((low, tuple(struct.pack("<d", c) for c in coeffs))
+                                         for low, coeffs in rows))
+            for a, rows in rates]
+
+
+class TestProfileBuilder:
+    """`solve`'s closed-form profiles and its float table against the slow
+    transform-domain route: pole, inverse, and an eager exact fold."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_profiles_are_the_pole_inverse_oracle(self, variant):
+        for ratio in RATIOS:
+            for depth in range(1, 41):
+                sol = VARIANTS[variant](ratio, depth)
+                oracle = pole_profiles(sol.problem, depth)
+                assert sol._profiles == oracle, (variant, ratio, depth)
+                assert sol.profiles == eager_fold(sol.problem, oracle), (variant, ratio, depth)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_table_is_the_float_of_the_eager_fold(self, variant):
+        for ratio in RATIOS:
+            for depth in (1, 5, 12, 40):
+                sol = VARIANTS[variant](ratio, depth)
+                folded = eager_fold(sol.problem, pole_profiles(sol.problem, depth))
+                assert _ieee(sol._table.rates) == _ieee(_float_table(folded)), (variant, depth)
+
+    def test_float_paths_leave_the_exact_fold_unbuilt(self):
+        sol = solve_family_b(M_1PT, 40, Convention.PAPER_LITERAL)
+        residual(sol.problem, sol, SMALL_GRID)
+        sol.value(0.7, 1.1)
+        sol.at(1.3)(0.4)
+        assert "profiles" not in sol.__dict__
+        assert sol.profiles == _closed_form_profiles("B-paper", 40)
+        assert "profiles" in sol.__dict__
 
 
 class TestProblem:

@@ -2,6 +2,7 @@
 identities, sigma arithmetic, products, and partial fractions, all checked
 exactly; recombination goes through the independent polynomial oracle."""
 
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -236,6 +237,15 @@ def test_multiply_matches_the_oracle_property(s1, s2):
 @settings(max_examples=60, deadline=None)
 def test_power_is_repeated_multiplication_property(s, n):
     assert tf.power(s, n) == tf.multiply(tf.power(s, n - 1), s)
+
+
+@given(sexpr_strategy, st.integers(min_value=1, max_value=6))
+@settings(max_examples=100, deadline=None)
+def test_power_is_a_left_fold_of_multiply_property(s, n):
+    # power passes its base to _product once; multiply builds each product
+    # from two separate factors
+    got, folded = tf.power(s, n), functools.reduce(tf.multiply, [s] * n)
+    assert got == folded and got.region == folded.region
 
 
 def _assert_canonical(r):
