@@ -32,6 +32,12 @@ retained function is 1.  u_hat_0 r1^n is one pole term, so `solve` writes
 X_n down by inverse's term rule.  Every candidate is one `SeriesSolution`
 holding the exact profiles X_n, tau and the prefactor rate.
 
+`truncation_bound` majorizes the dropped terms from the same data: with
+u_hat_0 = c0 (sigma - p)^-m0, y = x^2 and tau_bar >= |tau|, term n is at most
+b_n = e^(|b/d| tau_bar + max(p, 0) y) 2 |c0| (|k1| tau_bar)^n y^(m0+n-1) / (n! (m0+n-1)!),
+and the folded row's term of order q (m0 = 1, p = 0, X_0 = 2 c0 = 1) at
+most 2 |c0| (tau_bar (|k1| y + |b/d|))^q / q!, by the binomial theorem.
+
 Families B and C each carry two sign conventions: `derived` (the series
 above) and `paper_literal` (the sign of tau flipped; a factor
 exp(+(b/d) tau) is multiplied into the series and summed by total order,
@@ -48,7 +54,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import algebra
@@ -58,6 +64,7 @@ from .errors import GridDomainError
 from .transform import SExpr
 
 FD_STEP = 1e-5
+_LOG_FLOAT_MAX = math.log(math.nextafter(math.inf, 0))  # the largest argument math.exp takes
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +153,13 @@ class Convention(enum.Enum):
 
 
 class TimeVariable(NamedTuple):
-    """tau(t) of a series: float value, float derivative, exact value."""
+    """tau(t) of a series: float value, float derivative, exact value, and
+    bound(t_lo, t_hi) >= |tau| on [t_lo, t_hi] (0 <= t_lo <= t_hi)."""
 
     value: Callable[[float], float]
     derivative: Callable[[float], float]
     exact: Callable[[Fraction], Fraction]
+    bound: Callable[[float, float], float]
 
 
 def _inverse_square(t: Fraction) -> Fraction:
@@ -185,8 +194,13 @@ class _Equation(NamedTuple):
     @property
     def recipe(self) -> tuple[Fraction, Fraction, Fraction]:
         """(k1, p, b/d) of r(sigma) = b/d + k1 / (sigma - p)."""
-        a, b, c, d = map(Fraction, self.coefficients)
-        return (a - b * c / d) / (2 * d), -c / (2 * d), b / d
+        return _recipe(self.coefficients)
+
+
+@cache
+def _recipe(coefficients: tuple[int, int, int, int]) -> tuple[Fraction, Fraction, Fraction]:
+    a, b, c, d = map(Fraction, coefficients)
+    return (a - b * c / d) / (2 * d), -c / (2 * d), b / d
 
 
 _T_ONE = tf.forward(algebra.constant(1))  # 1 / (2 sigma)
@@ -196,7 +210,8 @@ _ROWS = {
     Family.A: _Equation(
         (1, 0, 0, 1), "t^3 u_xt + 2 x u = 0",
         lambda f, x, t, u, ut, ux, uxt: t ** 3 * uxt + 2 * x * u,
-        tau=TimeVariable(lambda t: t ** -2, lambda t: -2 * t ** -3, _inverse_square),
+        tau=TimeVariable(lambda t: t ** -2, lambda t: -2 * t ** -3, _inverse_square,
+                         lambda t_lo, t_hi: float(_inverse_square(Fraction(t_lo)))),
         sign=1, u0=_T_ONE, conventions=False, tau_name="t", tau_power=-2,
         metadata={"side_condition": "series value at x -> 0+ is 1, not the stated 0"}),
     Family.B: _Equation(
@@ -241,6 +256,15 @@ class PDEProblem:
     @property
     def row(self) -> _Equation:
         return _ROWS[self.family]
+
+    @cached_property
+    def tau(self) -> TimeVariable:
+        """The row's time variable, or the antiderivative of the ratio."""
+        if self.row.tau:
+            return self.row.tau
+        anti = self.ratio.antiderivative()
+        return TimeVariable(anti.evaluate, self.ratio.evaluate, anti.evaluate_exact,
+                            lambda t_lo, t_hi: anti.abs_coeff_bound(t_hi))
 
     @property
     def sign(self) -> int:
@@ -330,7 +354,7 @@ class SeriesSolution:
     """Truncated separable series u(x, t) = P(t) * sum_n tau(t)^n * X_n(x).
 
     `profiles` are the exact X_n (n = 0, 1, ..., depth; only X_0 when
-    r1 = 0); `tau` defaults to the antiderivative of the problem's ratio;
+    r1 = 0); `tau` is the problem's time variable;
     P(t) = exp(-prefactor * tau(t)), 1 when `prefactor` is 0.  A folded
     problem is given the unfolded X_n and the exact rate k: its `profiles`
     multiply P = sum_j (-k tau)^j / j! in by total order on first read, and
@@ -342,8 +366,7 @@ class SeriesSolution:
     """
 
     def __init__(self, problem: PDEProblem, depth: int, metadata: dict,
-                 profiles: Iterable[GExpr], tau: Optional[TimeVariable] = None,
-                 prefactor: RationalLike = 0):
+                 profiles: Iterable[GExpr], prefactor: RationalLike = 0):
         orders = _orders(depth)
         self.problem = problem
         self.depth = depth
@@ -351,8 +374,7 @@ class SeriesSolution:
         self.ratio = problem.ratio
         self.anti = None if problem.ratio is None else problem.ratio.antiderivative()
         self._profiles = tuple(profiles)
-        self.tau = tau or TimeVariable(
-            self.anti.evaluate, self.ratio.evaluate, self.anti.evaluate_exact)
+        self.tau = problem.tau
         rate = as_rational(prefactor)
         # the fold weights of P, (1,) for no fold.  The row that folds (B) has
         # p = 0 and u_hat_0 = T{1}, so X_i is one term at x^(2i): each folded
@@ -458,7 +480,7 @@ def solve(family: Family, ratio: Optional[LPoly], depth: int,
         for n in (orders[1:] if k1 else ())]
     rate = -sign * kappa  # the prefactor exp(sign (b/d) tau) = exp(-rate tau)
     metadata = ({"convention": problem.convention.value} if problem.convention else {}) | row.metadata
-    return SeriesSolution(problem, depth, metadata, profiles, row.tau, rate)
+    return SeriesSolution(problem, depth, metadata, profiles, rate)
 
 
 def solve_family_a(depth: int) -> SeriesSolution:
@@ -588,73 +610,49 @@ def residual(problem: PDEProblem, solution: SeriesSolution,
 # Tail bounds
 
 
-def _geometric_tail(term_bound: Callable[[int], float],
-                    ratio_bound: Callable[[int], float], start: int) -> float:
-    """sum_{n >= start} b_n for a positive majorant sequence whose term
-    ratio is bounded by the decreasing ratio_bound: explicit terms until the
-    ratio drops below 1/2, then a geometric closure.  Always >= the tail it
-    majorizes (up to float rounding)."""
-    total = 0.0
-    n = start
-    while ratio_bound(n) >= 0.5:
-        total += term_bound(n)
+def _geometric_tail(b: float, ratio: Callable[[int], float], n: int, start: int) -> float:
+    """sum_{j >= start} b_j of the positive majorant with b_n = b (n <= start)
+    and b_(j+1) = ratio(j) b_j, ratio decreasing: terms follow by ratios, so
+    no factorial leaves float range, summed until the ratio drops below 1/2,
+    then closed geometrically.  >= the tail up to float rounding."""
+    for j in range(n, start):
+        b *= ratio(j)
+    total, n = 0.0, start
+    while (q := ratio(n)) >= 0.5:
+        total += b
+        b *= q
         n += 1
         if n > start + 100000:
             return math.inf
-    return total + term_bound(n) / (1.0 - ratio_bound(n))
+    return total + b / (1.0 - q)
 
 
 def truncation_bound(solution: SeriesSolution, x_max: float,
                      t_range: tuple[float, float]) -> float:
     """Upper bound on the dropped series tail sum_{n > depth} |term_n| over
-    the box [0, x_max] x [t_lo, t_hi], by ratio-test majorization.  The box
-    needs 0 <= t_lo <= t_hi and x_max >= 0 (t_lo > 0 for family A)."""
+    the box [0, x_max] x [t_lo, t_hi]: the module docstring's majorant with
+    y = x_max^2 and tau_bar = tau.bound(t_lo, t_hi), inf when its prefactor
+    leaves float range.  The box needs 0 <= t_lo <= t_hi and x_max >= 0
+    (t_lo > 0 for tau = t^-2)."""
     t_lo, t_hi, x_max = float(t_range[0]), float(t_range[1]), float(x_max)
     if not (0 <= t_lo <= t_hi and x_max >= 0):
         raise ValueError(f"need 0 <= t_lo <= t_hi and x_max >= 0, got {t_range}, {x_max}")
-    n0 = solution.depth + 1
-    fam = solution.problem.family
-
-    if fam is Family.A:
-        if t_lo <= 0:
-            raise ValueError("family A needs t_lo > 0")
-        r = x_max * x_max / (2.0 * t_lo * t_lo)
-        return _geometric_tail(
-            lambda n: r ** n / float(math.factorial(n)) ** 2,
-            lambda n: r / (n + 1) ** 2,
-            n0,
-        )
-
-    if fam is Family.B:
-        mbar = solution.anti.abs_coeff_bound(t_hi)
-        if solution.problem.convention is Convention.DERIVED:
-            pref = math.exp(mbar)
-            r = mbar * x_max * x_max / 2.0
-            return _geometric_tail(
-                lambda n: pref * r ** n / float(math.factorial(n)) ** 2,
-                lambda n: r / (n + 1) ** 2,
-                n0,
-            )
-        # literal form: sum_i y^i/((i!)^2 (p-i)!) <= (1+y)^p / p!  (y = x^2/2)
-        r = mbar * (1.0 + x_max * x_max / 2.0)
-        return _geometric_tail(
-            lambda n: r ** n / float(math.factorial(n)),
-            lambda n: r / (n + 1),
-            n0,
-        )
-
-    if fam is Family.C:
-        hbar = solution.anti.abs_coeff_bound(t_hi)
-        xm = max(1.0, x_max)
-        env = math.exp(x_max * x_max / 2.0)
-        return _geometric_tail(
-            lambda n: env * hbar ** n * xm ** (2 * n - 2)
-            / (float(math.factorial(n)) * 2.0 ** (n - 1) * float(math.factorial(n - 1))),
-            lambda n: hbar * xm * xm / (2.0 * (n + 1) * n),
-            n0,
-        )
-
-    return 0.0  # family D evaluates a closed form; nothing is dropped
+    problem = solution.problem
+    k1, p, kappa = problem.row.recipe
+    ((c0, _, m0),) = problem.row.u0.terms
+    k1, kappa, c0 = float(abs(k1)), float(abs(kappa)), float(abs(c0))
+    tau_bar, y, n = problem.tau.bound(t_lo, t_hi), x_max * x_max, solution.depth + 1
+    if problem.folded:
+        r = tau_bar * (k1 * y + kappa)
+        return _geometric_tail(2 * c0, lambda q: r / (q + 1), 0, n)
+    if not (k1 and tau_bar and y):
+        return 0.0  # every dropped term vanishes on the box
+    exponent = kappa * tau_bar + max(p, 0) * y
+    if not exponent <= _LOG_FLOAT_MAX:  # past float range, or 0 * inf
+        return math.inf
+    r = k1 * tau_bar * y
+    first = math.exp(exponent) * 2 * c0 * k1 * tau_bar * y ** m0 / math.factorial(m0)
+    return _geometric_tail(first, lambda j: r / ((j + 1) * (m0 + j)), 1, n)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,15 @@ class TestCommands:
         assert len(doc["points"]) == 9
         assert doc["truncation_bound"] == 0
 
+    def test_deep_residual(self, capsys):
+        # the tail bound of a depth past 98 keeps its factorials in range
+        code, out, _ = run_cli(
+            ["residual", "--family", "A", "--n", "120", "--grid", "0.2,2,4,0.5,2,4"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["max_abs"] <= 1e-12
+        assert 0 <= doc["truncation_bound"] < math.inf
+
     def test_classify(self, files, capsys):
         code, out, _ = run_cli(
             ["classify", files["exp_half"], "--samples", "2,6,17"], capsys)

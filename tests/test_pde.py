@@ -479,13 +479,37 @@ class TestTruncationBound:
             term *= hbar * xm2 / (2.0 * (n + 1) * n)
         assert bound >= tail
 
-    def test_family_b_bounds_cover_extended_sums(self):
-        for conv in Convention:
-            sol = solve_family_b(M_T, 25, conv)
-            bound = truncation_bound(sol, 2.0, (0.5, 2.0))
-            tail = sum(abs(term_value(sol, n, 2.0, 2.0))
-                       for n in range(26, 126))
-            assert bound >= tail
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_bounds_cover_extended_sums(self, variant):
+        # the bound at depth n against terms n+1..n+100 of the depth-(n+100)
+        # series, at the corners and midpoints of each box
+        t_ranges = [(0.5, 2.0)] if variant == "A" else [(0.5, 2.0), (0.0, 1.0)]
+        for ratio in RATIOS:
+            for depth in (3, 12):
+                sol, longer = VARIANTS[variant](ratio, depth), VARIANTS[variant](ratio, depth + 100)
+                for x_max in (0.0, 0.5, 2.0):
+                    for t_lo, t_hi in t_ranges:
+                        bound = truncation_bound(sol, x_max, (t_lo, t_hi))
+                        for x in (0.0, x_max / 2, x_max):
+                            for t in (t_lo, (t_lo + t_hi) / 2, t_hi):
+                                tail = sum(abs(term_value(longer, n, x, t))
+                                           for n in range(depth + 1, depth + 101))
+                                assert bound >= tail, (variant, ratio, depth, x_max, x, t)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_deep_truncations_stay_finite(self, variant):
+        # every factorial of the majorant stays out of float range
+        for ratio in RATIOS:
+            for depth in (99, 120, 200):
+                sol = VARIANTS[variant](ratio, depth)
+                for x_max, t_range in ((2.0, (0.5, 2.0)), (3.0, (1.0, 3.0))):
+                    assert 0.0 <= truncation_bound(sol, x_max, t_range) < math.inf
+
+    def test_prefactor_past_float_range_is_inf(self):
+        # e^(tau_bar) for B-derived, e^(x_max^2 / 2) for C: past exp's range
+        assert truncation_bound(solve_family_b(M_1PT, 12), 2.0, (0.5, 40.0)) == math.inf
+        assert truncation_bound(solve_family_c(M_ONE, 12), 40.0, (0.5, 1.0)) == math.inf
+        assert truncation_bound(solve_family_b(M_1PT, 12), 0.0, (0.5, 40.0)) == 0.0
 
     def test_family_d_bound_is_zero(self):
         assert truncation_bound(solve_family_d(M_ONE), 2.0, (0.5, 2.0)) == 0.0
