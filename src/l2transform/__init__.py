@@ -39,7 +39,7 @@ from .pde import (
     solve_family_d,
     truncation_bound,
 )
-from .quadrature import QuadratureConfig, l2_quadrature
+from .quadrature import l2_quadrature
 from .transform import SExpr, STerm, delta_s, forward, inverse, mul_sigma, partial_fractions
 
 __version__ = "0.1.0"
@@ -49,7 +49,7 @@ __all__ = [
     "as_rational", "canonicalize", "evaluate", "delta_x", "limit_at_zero",
     "forward", "inverse", "delta_s", "mul_sigma", "partial_fractions",
     "convolve_symbolic", "convolve_numeric", "star_power", "EXP_HALF",
-    "QuadratureConfig", "l2_quadrature",
+    "l2_quadrature",
     "Family", "Convention", "PDEProblem", "SeriesSolution", "ResidualReport",
     "lpoly", "default_grid", "residual", "truncation_bound", "profile_gexpr",
     "solve_family_a", "solve_family_b", "solve_family_c", "solve_family_d",

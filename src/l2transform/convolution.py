@@ -16,7 +16,7 @@ from typing import Callable, Union
 
 from . import algebra, transform
 from .algebra import GExpr
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval
+from .quadrature import integrate_interval
 
 Evaluator = Union[GExpr, Callable[[float], float]]
 
@@ -44,15 +44,14 @@ def _as_callable(f: Evaluator) -> Callable[[float], float]:
     return f
 
 
-def convolve_numeric(f: Evaluator, g: Evaluator, t: float,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def convolve_numeric(f: Evaluator, g: Evaluator, t: float) -> float:
     """Adaptive quadrature of the defining integral at argument t >= 0.
 
     x = t sqrt(v) gives x dx = (t^2/2) dv and sqrt(t^2 - x^2) = t sqrt(1 - v):
     one integral over v in [0, 1], free of the cancellation in t^2 - x^2 near
     x = t.  Elements of the algebra, functions of x^2, give an integrand entire
     in v; odd powers of x in a bare callable give sqrt-type ends, so more panels.
-    t^2/2 stays inside, so abs_tol applies to the convolution's own value.
+    t^2/2 stays inside, so quadrature.ABS_TOL applies to the convolution's own value.
     """
     if not t >= 0:
         raise ValueError("convolution argument t must be nonnegative")
@@ -60,4 +59,4 @@ def convolve_numeric(f: Evaluator, g: Evaluator, t: float,
         return 0.0
     fe, ge = _as_callable(f), _as_callable(g)
     return integrate_interval(
-        lambda v: 0.5 * t * t * fe(t * math.sqrt(1.0 - v)) * ge(t * math.sqrt(v)), 0.0, 1.0, cfg)
+        lambda v: 0.5 * t * t * fe(t * math.sqrt(1.0 - v)) * ge(t * math.sqrt(v)), 0.0, 1.0)

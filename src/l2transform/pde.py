@@ -622,7 +622,7 @@ def _geometric_tail(b: float, ratio: Callable[[int], float], n: int, start: int)
         total += b
         b *= q
         n += 1
-        if n > start + 100000:
+        if n > start + 100000 or total == math.inf:
             return math.inf
     return total + b / (1.0 - q)
 
@@ -631,8 +631,8 @@ def truncation_bound(solution: SeriesSolution, x_max: float,
                      t_range: tuple[float, float]) -> float:
     """Upper bound on the dropped series tail sum_{n > depth} |term_n| over
     the box [0, x_max] x [t_lo, t_hi]: the module docstring's majorant with
-    y = x_max^2 and tau_bar = tau.bound(t_lo, t_hi), inf when its prefactor
-    leaves float range.  The box needs 0 <= t_lo <= t_hi and x_max >= 0
+    y = x_max^2 and tau_bar = tau.bound(t_lo, t_hi), inf when tau_bar or the
+    prefactor leaves float range.  The box needs 0 <= t_lo <= t_hi and x_max >= 0
     (t_lo > 0 for tau = t^-2)."""
     t_lo, t_hi, x_max = float(t_range[0]), float(t_range[1]), float(x_max)
     if not (0 <= t_lo <= t_hi and x_max >= 0):
@@ -641,7 +641,13 @@ def truncation_bound(solution: SeriesSolution, x_max: float,
     k1, p, kappa = problem.row.recipe
     ((c0, _, m0),) = problem.row.u0.terms
     k1, kappa, c0 = float(abs(k1)), float(abs(kappa)), float(abs(c0))
-    tau_bar, y, n = problem.tau.bound(t_lo, t_hi), x_max * x_max, solution.depth + 1
+    try:
+        tau_bar = problem.tau.bound(t_lo, t_hi)
+    except OverflowError:
+        return math.inf
+    if tau_bar == math.inf:
+        return math.inf
+    y, n = x_max * x_max, solution.depth + 1
     if problem.folded:
         r = tau_bar * (k1 * y + kappa)
         return _geometric_tail(2 * c0, lambda q: r / (q + 1), 0, n)

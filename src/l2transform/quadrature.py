@@ -3,11 +3,12 @@
     integral_0^inf  x * exp(-x^2 s^2) * f(x) dx
 
 used to validate every symbolic result in this package.  The integrand is
-truncated at a cutoff X* chosen from an analytic bound on the tail of the
-term-wise envelope C x**(2k+1) exp((rho - s^2) x^2); the finite interval is
-then handled by a globally adaptive Gauss-Kronrod rule: QUADPACK's G10/K21
-pair and error estimate (Piessens, de Doncker-Kapenga, Ueberhuber and
-Kahaner, QUADPACK, Springer 1983), in plain Python.
+truncated at a cutoff X* where an analytic bound on the tail of the
+term-wise envelope C x**(2k+1) exp((rho - s^2) x^2) falls below
+TAIL_EPSILON; the finite interval is then handled by a globally adaptive
+Gauss-Kronrod rule: QUADPACK's G10/K21 pair and error estimate (Piessens,
+de Doncker-Kapenga, Ueberhuber and Kahaner, QUADPACK, Springer 1983), in
+plain Python, to REL_TOL and ABS_TOL within MAX_SUBINTERVALS subintervals.
 """
 
 from __future__ import annotations
@@ -15,33 +16,15 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
-from .algebra import GExpr, _is_count
+from .algebra import GExpr
 from .errors import DivergentIntegralError, QuadratureFailureError
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances of integrate_interval, its budget of subintervals
-    (max_refinements, QUADPACK's `limit`) and the tail bound that sets
-    l2_quadrature's cutoff."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_refinements: int = 60
-    tail_epsilon: float = 1e-16
-
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "tail_epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if not _is_count(self.max_refinements, 1):
-            raise ValueError("max_refinements must be an integer >= 1")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+REL_TOL = 1e-10
+ABS_TOL = 1e-14
+MAX_SUBINTERVALS = 60  # QUADPACK's `limit`
+TAIL_EPSILON = 1e-16
 
 
 # QK21's nodes on [-1, 1] as (abscissa x, Kronrod weight, Gauss weight) of
@@ -94,13 +77,12 @@ def _gk21(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
     return kronrod * half, max(err, floor), floor
 
 
-def integrate_interval(fn: Callable[[float], float], lo: float, hi: float,
-                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def integrate_interval(fn: Callable[[float], float], lo: float, hi: float) -> float:
     """Globally adaptive G10/K21 quadrature of fn over [lo, hi].
 
     The subinterval with the largest error estimate is bisected until the
-    summed estimates fall to max(abs_tol, rel_tol * |integral|).  Raises
-    QuadratureFailureError when that needs more than cfg.max_refinements
+    summed estimates fall to max(ABS_TOL, REL_TOL * |integral|).  Raises
+    QuadratureFailureError when that needs more than MAX_SUBINTERVALS
     subintervals, as soon as the summed round-off floors alone exceed the
     tolerance, so no refinement can reach it (QUADPACK's ier = 2), or when
     the integrand gives NaN.
@@ -110,16 +92,16 @@ def integrate_interval(fn: Callable[[float], float], lo: float, hi: float,
     value, err, floor = _gk21(fn, lo, hi)
     heap = [(-err, lo, hi, value, floor)]
     total, err_sum, floor_sum = value, err, floor
-    while err_sum > (tol := max(cfg.abs_tol, cfg.rel_tol * abs(total))):
+    while err_sum > (tol := max(ABS_TOL, REL_TOL * abs(total))):
         if floor_sum > tol:
             raise QuadratureFailureError(
                 f"round-off limits the accuracy on [{lo}, {hi}]: "
                 f"floor {floor_sum:.3g} exceeds tolerance {tol:.3g}"
             )
-        if len(heap) >= cfg.max_refinements:
+        if len(heap) >= MAX_SUBINTERVALS:
             raise QuadratureFailureError(
                 f"adaptive refinement did not converge on [{lo}, {hi}] within "
-                f"{cfg.max_refinements} subintervals: error {err_sum:.3g}, tolerance {tol:.3g}"
+                f"{MAX_SUBINTERVALS} subintervals: error {err_sum:.3g}, tolerance {tol:.3g}"
             )
         _, a, b, _, _ = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -140,14 +122,23 @@ def _tail_bound(envelope: list[tuple[float, int, float]], x: float) -> float:
     For one envelope term C u**(2k+1) exp(-beta u^2), substituting u^2 gives
     integral_x^inf = C * k!/(2 beta^(k+1)) * exp(-beta x^2)
                        * sum_{j<=k} (beta x^2)^j / j!.
+    A term whose float evaluation overflows (z**j, k!) is redone in logs,
+    so OverflowError remains only for a term beyond the double range.
     """
     total = 0.0
     for coeff, k, beta in envelope:
         z = beta * x * x
         if z > 745.0:  # exp underflows to 0 beyond this; the bound is 0
             continue
-        partial = sum(z ** j / math.factorial(j) for j in range(k + 1))
-        total += coeff * math.factorial(k) / (2 * beta ** (k + 1)) * math.exp(-z) * partial
+        try:
+            partial = sum(z ** j / math.factorial(j) for j in range(k + 1))
+            total += coeff * math.factorial(k) / (2 * beta ** (k + 1)) * math.exp(-z) * partial
+        except OverflowError:
+            logs = [j * math.log(z) - math.lgamma(j + 1) for j in range(k + 1)]
+            top = max(logs)
+            log_partial = top + math.log(math.fsum(math.exp(v - top) for v in logs))
+            total += math.exp(math.log(coeff) + math.lgamma(k + 1) - math.log(2)
+                              - (k + 1) * math.log(beta) - z + log_partial)
     return total
 
 
@@ -176,51 +167,33 @@ def truncation_cutoff(envelope: list[tuple[float, int, float]], tail_epsilon: fl
     return hi
 
 
-def l2_quadrature(
-    f: Union[GExpr, Callable[[float], float]],
-    s: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    *,
-    growth_rate: Optional[float] = None,
-) -> float:
+def l2_quadrature(f: GExpr, s: float) -> float:
     """Numerically evaluate the transform of f at a finite s > 0.
 
-    For a GExpr the growth rate and envelope come from its terms; for a bare
-    evaluator callers must declare `growth_rate` rho bounding
-    |f| <= exp(rho x^2).  The integral diverges unless s**2 > rho.
+    The growth rate rho and the tail envelope come from the terms of f; the
+    integral diverges unless s**2 > rho.  An integrand term whose power of x
+    overflows is evaluated in logs, as in algebra.evaluate, so OverflowError
+    is left only where a term itself leaves the double range.
     """
     if not 0 < s < math.inf:  # NaN included
         raise ValueError(f"s must be finite and strictly positive, got {s}")
+    if not f.terms:
+        return 0.0
     sigma = s * s
+    rho = float(f.max_rate())
+    if sigma <= rho:
+        raise DivergentIntegralError(f"s^2 = {sigma} does not exceed the Gaussian rate {rho}")
+    envelope = [(abs(float(t.c)), t.k, sigma - float(t.a)) for t in f.terms]
+    pieces = [(float(t.c), 2 * t.k + 1, float(t.a) - sigma) for t in f.terms]
 
-    if isinstance(f, GExpr):
-        if not f.terms:
-            return 0.0
-        rho = float(f.max_rate())
-        if sigma <= rho:
-            raise DivergentIntegralError(
-                f"s^2 = {sigma} does not exceed the Gaussian rate {rho}"
-            )
-        envelope = [
-            (abs(float(t.c)), t.k, sigma - float(t.a)) for t in f.terms
-        ]
-        pieces = [(float(t.c), t.k, float(t.a) - sigma) for t in f.terms]
+    def integrand(x: float) -> float:
+        try:
+            total = sum(c * x ** m * math.exp(g * x * x) for c, m, g in pieces)
+            if abs(total) < math.inf:  # NaN too takes the log path
+                return total
+        except OverflowError:
+            pass
+        return sum(math.copysign(math.exp(math.log(abs(c)) + m * math.log(x) + g * x * x), c)
+                   for c, m, g in pieces)
 
-        def integrand(x: float) -> float:
-            return sum(c * x ** (2 * k + 1) * math.exp(g * x * x) for c, k, g in pieces)
-
-    else:
-        if growth_rate is None:
-            raise ValueError("a bare evaluator needs a declared growth_rate rho")
-        rho = float(growth_rate)
-        if sigma <= rho:
-            raise DivergentIntegralError(
-                f"s^2 = {sigma} does not exceed the declared rate {rho}"
-            )
-        envelope = [(1.0, 0, sigma - rho)]
-
-        def integrand(x: float) -> float:
-            return x * math.exp(-sigma * x * x) * f(x)
-
-    cutoff = truncation_cutoff(envelope, cfg.tail_epsilon)
-    return integrate_interval(integrand, 0.0, cutoff, cfg)
+    return integrate_interval(integrand, 0.0, truncation_cutoff(envelope, TAIL_EPSILON))

@@ -276,6 +276,17 @@ class TestExitCodes:
         assert code == 3
         assert "Divergent" in json.loads(err)["message"]
 
+    def test_quad_exits_3_only_past_float_range(self, tmp_path, capsys):
+        # T{x^240}(s) = 120! / (2 s^242): 3.3e198 at s = 1, 1.7e344 at s = 1/4
+        p = tmp_path / "k120.json"
+        p.write_text('{"kind":"gexpr","terms":[{"c":"1","k":120,"a":"0"}]}')
+        code, out, _ = run_cli(["quad", str(p), "--s", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(math.factorial(120) / 2, rel=1e-12)
+        code, out, err = run_cli(["quad", str(p), "--s", "0.25"], capsys)
+        assert code == 3 and out == ""
+        assert "OverflowError" in json.loads(err)["message"]
+
     def test_non_finite_result_is_3(self, files, capsys):
         # the residual is NaN at x = 37.5, which JSON cannot hold
         code, out, err = run_cli(

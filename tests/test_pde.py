@@ -511,6 +511,28 @@ class TestTruncationBound:
         assert truncation_bound(solve_family_c(M_ONE, 12), 40.0, (0.5, 1.0)) == math.inf
         assert truncation_bound(solve_family_b(M_1PT, 12), 0.0, (0.5, 40.0)) == 0.0
 
+    @pytest.mark.parametrize("solve, t_range", [
+        (lambda: solve_family_a(10), (1e-200, 1.0)),
+        (lambda: solve_family_b(M_1PT, 10), (0.5, 1e200)),
+        (lambda: solve_family_b(M_1PT, 10, Convention.PAPER_LITERAL), (0.5, 1e200)),
+        (lambda: solve_family_c(M_1PT, 10), (0.5, 1e200)),
+        (lambda: solve_family_d(M_1PT, 10), (0.5, 1e200)),
+    ], ids=["A", "B-derived", "B-paper", "C-derived", "D"])
+    def test_tau_bar_past_float_range_is_inf(self, solve, t_range):
+        # tau_bar = t_lo^-2 for A, t_hi + t_hi^2 / 2 for the others
+        assert truncation_bound(solve(), 2.0, t_range) == math.inf
+
+    def test_geometric_tail_stops_at_inf(self):
+        # the folded row's ratio r / (q + 1) with r = inf, as for x_max^2 = inf
+        calls = []
+
+        def ratio(q):
+            calls.append(q)
+            return math.inf
+
+        assert pde._geometric_tail(1.0, ratio, 0, 11) == math.inf
+        assert len(calls) < 20
+
     def test_family_d_bound_is_zero(self):
         assert truncation_bound(solve_family_d(M_ONE), 2.0, (0.5, 2.0)) == 0.0
 

@@ -11,10 +11,12 @@ from fractions import Fraction as F
 import pytest
 
 from l2transform import (
-    DivergentIntegralError, QuadratureConfig, QuadratureFailureError,
+    DivergentIntegralError, QuadratureFailureError,
     algebra, convolution, convolve_numeric, forward, l2_quadrature, quadrature,
 )
-from l2transform.quadrature import integrate_interval, truncation_cutoff
+from l2transform.quadrature import (
+    ABS_TOL, MAX_SUBINTERVALS, REL_TOL, TAIL_EPSILON, integrate_interval, truncation_cutoff,
+)
 
 from support import child_env, evaluate_at, rand_gexpr
 
@@ -40,21 +42,30 @@ class TestKnownValues:
         with pytest.raises(DivergentIntegralError):
             l2_quadrature(algebra.gaussian(1), 0.9)
 
+    def test_zero_valued_integral_stops_on_round_off(self):
+        # 1000 - 1000 x^2 transforms to 500 / s^2 - 500 / s^4, 0 at s = 1:
+        # only ABS_TOL is left, below the round-off floor
+        with pytest.raises(QuadratureFailureError, match="round-off"):
+            l2_quadrature(algebra.constant(1000) - algebra.monomial(1000, 1), 1.0)
+
+    @pytest.mark.parametrize("c, k, s", [
+        (1, 120, 1.0), (1, 80, 0.1), (1, 100, math.sqrt(0.5)), (1, 150, 1.0),
+        (1, 170, 1.0), (1, 200, 2.0), (1000, 80, 0.1), (-3, 110, 1.0),
+    ])
+    def test_large_values_inside_float_range(self, c, k, s):
+        # x^(2k+1), (s^2 x^2)^j or k! of the float path overflow while
+        # the exact value c k! / (2 s^(2k+2)) is a double
+        exact = F(c * math.factorial(k), 2) / F(s * s) ** (k + 1)
+        got = l2_quadrature(algebra.monomial(c, k), s)
+        assert abs(F(got) - exact) <= 1e-12 * abs(exact)
+
+    @pytest.mark.parametrize("k, s", [(100, 0.1), (400, 1.0)])
+    def test_values_past_float_range_overflow(self, k, s):
+        with pytest.raises(OverflowError):
+            l2_quadrature(algebra.monomial(1, k), s)
+
 
 class TestEvaluatorPath:
-    def test_declared_rate(self):
-        f = lambda x: math.exp(0.3 * x * x)
-        got = l2_quadrature(f, 1.0, growth_rate=0.3)
-        assert got == pytest.approx(1.0 / (2 * 0.7), rel=1e-9)
-
-    def test_missing_rate_rejected(self):
-        with pytest.raises(ValueError):
-            l2_quadrature(lambda x: 1.0, 1.0)
-
-    def test_declared_rate_divergence(self):
-        with pytest.raises(DivergentIntegralError):
-            l2_quadrature(lambda x: math.exp(x * x), 1.0, growth_rate=1.0)
-
     @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_s_rejected(self, s):
         with pytest.raises(ValueError):
@@ -71,25 +82,23 @@ class TestAgreement:
             for sigma in (rho + 0.5, rho + 2.0):
                 exact = evaluate_at(forward(e), sigma)
                 num = l2_quadrature(e, math.sqrt(sigma))
-                cfg = QuadratureConfig()
-                assert abs(num - exact) <= max(cfg.abs_tol, cfg.rel_tol * abs(exact)) * 10
+                assert abs(num - exact) <= max(ABS_TOL, REL_TOL * abs(exact)) * 10
 
 
 class TestTruncation:
     def test_monotone_beyond_cutoff(self):
-        # pushing the cutoff out changes the result by < 10 * tail_epsilon
+        # pushing the cutoff out changes the result by < 10 * TAIL_EPSILON
         e = algebra.gaussian("1/4", c=3, k=2)
-        cfg = QuadratureConfig()
         sigma = 1.25
         envelope = [(abs(float(t.c)), t.k, sigma - float(t.a)) for t in e.terms]
-        cutoff = truncation_cutoff(envelope, cfg.tail_epsilon)
+        cutoff = truncation_cutoff(envelope, TAIL_EPSILON)
 
         def integrand(x):
             return 3 * x ** 5 * math.exp((0.25 - sigma) * x * x)
 
-        base = integrate_interval(integrand, 0.0, cutoff, cfg)
-        extended = integrate_interval(integrand, 0.0, 2 * cutoff, cfg)
-        assert abs(extended - base) < 10 * cfg.tail_epsilon
+        base = integrate_interval(integrand, 0.0, cutoff)
+        extended = integrate_interval(integrand, 0.0, 2 * cutoff)
+        assert abs(extended - base) < 10 * TAIL_EPSILON
 
     def test_cutoff_tail_is_small(self):
         envelope = [(1.0, 0, 0.5)]
@@ -127,23 +136,6 @@ class TestTruncation:
                 assert truncation_cutoff(envelope, eps).hex() == reference(envelope, eps).hex()
 
 
-class TestConfig:
-    def test_rejects_nonpositive_tolerances(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=-1e-3)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_refinements=0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_refinements=True)
-
-    def test_budget_exhaustion_fails(self):
-        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_refinements=1)
-        with pytest.raises(QuadratureFailureError):
-            l2_quadrature(algebra.monomial(1, 10), math.sqrt(0.5), cfg)
-
-
 def _counted(fn, calls):
     def wrapper(x):
         calls.append(x)
@@ -153,14 +145,14 @@ def _counted(fn, calls):
 
 @pytest.fixture
 def pieces(monkeypatch):
-    """Records (fn, lo, hi, cfg) and the evaluation count of every
+    """Records (fn, lo, hi) and the evaluation count of every
     integrate_interval call made by l2_quadrature and convolve_numeric."""
     seen = []
 
-    def spy(fn, lo, hi, cfg=quadrature.DEFAULT_CONFIG):
+    def spy(fn, lo, hi):
         calls = []
-        seen.append((fn, lo, hi, cfg, calls))
-        return integrate_interval(_counted(fn, calls), lo, hi, cfg)
+        seen.append((fn, lo, hi, calls))
+        return integrate_interval(_counted(fn, calls), lo, hi)
 
     monkeypatch.setattr(quadrature, "integrate_interval", spy)
     monkeypatch.setattr(convolution, "integrate_interval", spy)
@@ -197,7 +189,7 @@ class TestRule:
         for f, g in _criterion5_pairs(50):
             for t in (0.5, 1.0, 2.0):
                 convolve_numeric(f, g, t)
-        assert [(lo, hi, len(calls)) for _, lo, hi, _, calls in pieces] == [(0.0, 1.0, 21)] * 150
+        assert [(lo, hi, len(calls)) for _, lo, hi, calls in pieces] == [(0.0, 1.0, 21)] * 150
 
     @pytest.mark.parametrize("f, g, exact", [
         (lambda x: x, lambda x: 1.0, lambda t: t ** 3 / 3),
@@ -217,16 +209,20 @@ class TestRule:
     def test_budget_counts_subintervals(self, pieces):
         # this criterion-5 convolution converges after one bisection: two subintervals
         f, g = _criterion5_pairs(7)[6]
-        convolve_numeric(f, g, 4.0, QuadratureConfig(max_refinements=2))
+        convolve_numeric(f, g, 4.0)
         assert len(pieces[0][-1]) == 3 * 21
-        with pytest.raises(QuadratureFailureError, match="within 1 subintervals"):
-            convolve_numeric(f, g, 4.0, QuadratureConfig(max_refinements=1))
+        # 1/x never converges at 0: the first panel, then bisections of two
+        # panels each, one subinterval more per bisection, up to the budget
+        calls = []
+        with pytest.raises(QuadratureFailureError, match=f"within {MAX_SUBINTERVALS} subintervals"):
+            integrate_interval(_counted(lambda x: 1 / x, calls), 0.0, 1.0)
+        assert len(calls) == 21 * (2 * MAX_SUBINTERVALS - 1)
 
     def test_zero_valued_convolution_stops_on_round_off(self, pieces):
         # exact value 0, so only abs_tol is left, below the round-off floor
         with pytest.raises(QuadratureFailureError, match="round-off"):
             convolve_numeric(*ZERO_VALUED)
-        budget = 21 * (2 * quadrature.DEFAULT_CONFIG.max_refinements - 1)
+        budget = 21 * (2 * MAX_SUBINTERVALS - 1)
         assert len(pieces) == 1 and len(pieces[0][-1]) < budget
 
 
@@ -244,10 +240,9 @@ class TestAgainstQuadpack:
             for t in (0.5, 1.0, 2.0):
                 convolve_numeric(f, g, t)
         assert len(pieces) == 30 + 150
-        for fn, lo, hi, cfg, _ in pieces:
-            ref = quad(fn, lo, hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                       limit=cfg.max_refinements)[0]
-            got = integrate_interval(fn, lo, hi, cfg)
+        for fn, lo, hi, _ in pieces:
+            ref = quad(fn, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBINTERVALS)[0]
+            got = integrate_interval(fn, lo, hi)
             assert abs(got - ref) <= 1e-12 * abs(ref), (lo, hi, got, ref)
 
 
