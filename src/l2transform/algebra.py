@@ -180,9 +180,16 @@ def evaluate(e: GExpr, x: float) -> float:
         pass
     if x == 0:
         return float(limit_at_zero(e))
-    logs = _term_logs(e, x)
-    top = max(logs)
-    scaled = math.fsum((1 if t.c > 0 else -1) * math.exp(v - top) for t, v in zip(e.terms, logs))
+    return signed_exp_sum(zip((1 if t.c > 0 else -1 for t in e.terms), _term_logs(e, x)))
+
+
+def signed_exp_sum(terms: Iterable[tuple[float, float]]) -> float:
+    """sum(sign * exp(log)) over (sign, log) pairs, summed with fsum after
+    scaling by the largest log, so that terms beyond the double range may
+    cancel and OverflowError is raised only when the sum itself leaves it."""
+    terms = list(terms)
+    top = max(v for _, v in terms)
+    scaled = math.fsum(sign * math.exp(v - top) for sign, v in terms)
     return math.copysign(math.exp(math.log(abs(scaled)) + top), scaled) if scaled else 0.0
 
 

@@ -18,7 +18,7 @@ import math
 import sys
 from typing import Callable
 
-from .algebra import GExpr
+from .algebra import GExpr, signed_exp_sum
 from .errors import DivergentIntegralError, QuadratureFailureError
 
 REL_TOL = 1e-10
@@ -122,24 +122,25 @@ def _tail_bound(envelope: list[tuple[float, int, float]], x: float) -> float:
     For one envelope term C u**(2k+1) exp(-beta u^2), substituting u^2 gives
     integral_x^inf = C * k!/(2 beta^(k+1)) * exp(-beta x^2)
                        * sum_{j<=k} (beta x^2)^j / j!.
-    A term whose float evaluation overflows (z**j, k!) is redone in logs,
-    so OverflowError remains only for a term beyond the double range.
+    A term whose float evaluation overflows (z**j, k!) or is not finite is
+    redone in logs, so OverflowError remains only for a tail beyond the
+    double range.
     """
     total = 0.0
+    logs = []
     for coeff, k, beta in envelope:
         z = beta * x * x
-        if z > 745.0:  # exp underflows to 0 beyond this; the bound is 0
-            continue
         try:
             partial = sum(z ** j / math.factorial(j) for j in range(k + 1))
-            total += coeff * math.factorial(k) / (2 * beta ** (k + 1)) * math.exp(-z) * partial
+            term = coeff * math.factorial(k) / (2 * beta ** (k + 1)) * math.exp(-z) * partial
+            if term < math.inf:  # NaN too takes the log path
+                total += term
+                continue
         except OverflowError:
-            logs = [j * math.log(z) - math.lgamma(j + 1) for j in range(k + 1)]
-            top = max(logs)
-            log_partial = top + math.log(math.fsum(math.exp(v - top) for v in logs))
-            total += math.exp(math.log(coeff) + math.lgamma(k + 1) - math.log(2)
-                              - (k + 1) * math.log(beta) - z + log_partial)
-    return total
+            pass
+        base = math.log(coeff) + math.lgamma(k + 1) - math.log(2) - (k + 1) * math.log(beta) - z
+        logs.extend((1.0, base + j * math.log(z) - math.lgamma(j + 1)) for j in range(k + 1))
+    return total + signed_exp_sum(logs) if logs else total
 
 
 def truncation_cutoff(envelope: list[tuple[float, int, float]], tail_epsilon: float) -> float:
@@ -193,7 +194,7 @@ def l2_quadrature(f: GExpr, s: float) -> float:
                 return total
         except OverflowError:
             pass
-        return sum(math.copysign(math.exp(math.log(abs(c)) + m * math.log(x) + g * x * x), c)
-                   for c, m, g in pieces)
+        return signed_exp_sum((math.copysign(1.0, c), math.log(abs(c)) + m * math.log(x) + g * x * x)
+                              for c, m, g in pieces)
 
     return integrate_interval(integrand, 0.0, truncation_cutoff(envelope, TAIL_EPSILON))

@@ -42,6 +42,11 @@ class TestKnownValues:
         with pytest.raises(DivergentIntegralError):
             l2_quadrature(algebra.gaussian(1), 0.9)
 
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+    def test_nonpositive_s_rejected(self, s):
+        with pytest.raises(ValueError):
+            l2_quadrature(algebra.constant(1), s)
+
     def test_zero_valued_integral_stops_on_round_off(self):
         # 1000 - 1000 x^2 transforms to 500 / s^2 - 500 / s^4, 0 at s = 1:
         # only ABS_TOL is left, below the round-off floor
@@ -51,25 +56,21 @@ class TestKnownValues:
     @pytest.mark.parametrize("c, k, s", [
         (1, 120, 1.0), (1, 80, 0.1), (1, 100, math.sqrt(0.5)), (1, 150, 1.0),
         (1, 170, 1.0), (1, 200, 2.0), (1000, 80, 0.1), (-3, 110, 1.0),
+        (1, 800, math.sqrt(300)),
     ])
     def test_large_values_inside_float_range(self, c, k, s):
         # x^(2k+1), (s^2 x^2)^j or k! of the float path overflow while
-        # the exact value c k! / (2 s^(2k+2)) is a double
+        # the exact value c k! / (2 s^(2k+2)) is a double; for k = 800 the
+        # peak lies at s^2 x^2 = 800, beyond where exp(-s^2 x^2) underflows,
+        # and the value 2.6e-8 is held to ABS_TOL
         exact = F(c * math.factorial(k), 2) / F(s * s) ** (k + 1)
         got = l2_quadrature(algebra.monomial(c, k), s)
-        assert abs(F(got) - exact) <= 1e-12 * abs(exact)
+        assert abs(F(got) - exact) <= max(ABS_TOL, 1e-12 * abs(exact))
 
     @pytest.mark.parametrize("k, s", [(100, 0.1), (400, 1.0)])
     def test_values_past_float_range_overflow(self, k, s):
         with pytest.raises(OverflowError):
             l2_quadrature(algebra.monomial(1, k), s)
-
-
-class TestEvaluatorPath:
-    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
-    def test_nonpositive_s_rejected(self, s):
-        with pytest.raises(ValueError):
-            l2_quadrature(algebra.constant(1), s)
 
 
 class TestAgreement:
