@@ -148,7 +148,7 @@ def _cmd_solve(args):
     if args.freeze_t is not None:
         t0 = rational_from_string(args.freeze_t, "--freeze-t")
         return object_to_document(pde.profile_gexpr(sol, t0))
-    ratio, anti = sol.ratio, sol.anti
+    ratio = sol.problem.ratio
     return {
         "kind": "solution",
         "family": sol.problem.family.value,
@@ -156,7 +156,7 @@ def _cmd_solve(args):
         "depth": sol.depth,
         "equation": sol.problem.describe(),
         "ratio": object_to_document(ratio) if ratio is not None else None,
-        "ratio_antiderivative": object_to_document(anti) if anti is not None else None,
+        "ratio_antiderivative": object_to_document(ratio.antiderivative()) if ratio is not None else None,
         "terms": _solution_terms(sol),
         "metadata": sol.metadata,
     }

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Union
 
 from . import algebra, transform
 from .algebra import GExpr
 from .quadrature import integrate_interval
-
-Evaluator = Union[GExpr, Callable[[float], float]]
 
 # e^(x^2/2), the generator of the star-power family.
 EXP_HALF = algebra.gaussian(Fraction(1, 2))
@@ -38,25 +35,19 @@ def star_power(f: GExpr, n: int) -> GExpr:
     return transform.inverse(transform.power(transform.forward(f), n))
 
 
-def _as_callable(f: Evaluator) -> Callable[[float], float]:
-    if isinstance(f, GExpr):
-        return lambda x: algebra.evaluate(f, x)
-    return f
-
-
-def convolve_numeric(f: Evaluator, g: Evaluator, t: float) -> float:
+def convolve_numeric(f: GExpr, g: GExpr, t: float) -> float:
     """Adaptive quadrature of the defining integral at argument t >= 0.
 
     x = t sqrt(v) gives x dx = (t^2/2) dv and sqrt(t^2 - x^2) = t sqrt(1 - v):
     one integral over v in [0, 1], free of the cancellation in t^2 - x^2 near
-    x = t.  Elements of the algebra, functions of x^2, give an integrand entire
-    in v; odd powers of x in a bare callable give sqrt-type ends, so more panels.
-    t^2/2 stays inside, so quadrature.ABS_TOL applies to the convolution's own value.
+    x = t.  Elements of the algebra are functions of x^2, so the integrand is
+    entire in v.  t^2/2 stays inside, so quadrature.ABS_TOL applies to the
+    convolution's own value.
     """
     if not t >= 0:
         raise ValueError("convolution argument t must be nonnegative")
     if t == 0:
         return 0.0
-    fe, ge = _as_callable(f), _as_callable(g)
     return integrate_interval(
-        lambda v: 0.5 * t * t * fe(t * math.sqrt(1.0 - v)) * ge(t * math.sqrt(v)), 0.0, 1.0)
+        lambda v: 0.5 * t * t * algebra.evaluate(f, t * math.sqrt(1.0 - v))
+        * algebra.evaluate(g, t * math.sqrt(v)), 0.0, 1.0)

@@ -31,7 +31,6 @@ class SchemaError(L2TransformError):
     def __init__(self, message: str, path: str = "$"):
         super().__init__(f"{path}: {message}")
         self.path = path
-        self.reason = message
 
 
 class GridDomainError(L2TransformError):

@@ -15,11 +15,14 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
+from . import algebra
 from .algebra import GExpr
-from .convolution import Evaluator, _as_callable
 from .errors import NonPositiveSampleError
+
+# A function to sample: an algebra element, or any float function of x.
+Evaluator = Union[GExpr, Callable[[float], float]]
 
 # Sampled-path decision thresholds on the fitted rate rho.  The regression
 # is good to ~0.02 on the windows used here, so cuts sit well clear of that.
@@ -48,6 +51,12 @@ def classify_exact(e: GExpr) -> GrowthReport:
         is_exponential_order=rate <= 0,
         is_exp_squared_order=rate < 1,
     )
+
+
+def _as_callable(f: Evaluator) -> Callable[[float], float]:
+    if isinstance(f, GExpr):
+        return lambda x: algebra.evaluate(f, x)
+    return f
 
 
 def _check_samples(xs: Sequence[float]) -> list[float]:

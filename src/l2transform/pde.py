@@ -17,7 +17,7 @@ exact; family A has f = 2 t^-3:
     C  (1, 0, -1, 1):  H(t) u - u_t + delta_x(u_t) = 0
     D  (1, 1,  1, 1):  M(t) (u + delta_x(u)) + u_t + delta_x(u_t) = 0
 
-One builder, `solve`, follows section 6 for every row.  With
+One builder, `SeriesSolution`, follows section 6 for every row.  With
 T{delta_x u} = 2 sigma u_hat - u(0+, t) the equation becomes
 (c + 2 sigma d) u_hat_t = -f(t) (a + 2 sigma b) u_hat, so
 u_hat = u_hat_0 exp(-F r) with F the antiderivative of f and
@@ -28,9 +28,8 @@ p = -c / (2d).  Writing F = -sign * tau for the row's time variable tau,
     X_n = sign^n / n! * inverse(u_hat_0 r1^n),
 
 with u_hat_0 = T{1} = 1/(2 sigma), or for family C the formal unit, whose
-retained function is 1.  u_hat_0 r1^n is one pole term, so `solve` writes
-X_n down by inverse's term rule.  Every candidate is one `SeriesSolution`
-holding the exact profiles X_n, tau and the prefactor rate.
+retained function is 1.  u_hat_0 r1^n is one pole term, so the builder
+writes X_n down by inverse's term rule; `solve` only poses the problem.
 
 `truncation_bound` majorizes the dropped terms from the same data: with
 u_hat_0 = c0 (sigma - p)^-m0, y = x^2 and tau_bar >= |tau|, term n is at most
@@ -240,7 +239,7 @@ class PDEProblem:
 
     `ratio` is the polynomial coefficient ratio f (M for families B and D,
     H for family C); family A carries none.  `convention` tags which
-    candidate series the problem was posed for (families B and C).
+    candidate series the problem was posed for; only B and C carry one.
     """
 
     family: Family
@@ -252,6 +251,9 @@ class PDEProblem:
             raise ValueError(f"family {self.family.value} carries no coefficient ratio")
         if self.row.tau is None and self.ratio is None:
             raise ValueError(f"family {self.family.value} needs a coefficient ratio")
+        if self.convention is not None and not self.row.conventions:
+            raise ValueError(f"family {self.family.value} has no {self.convention.value} "
+                             "convention; only B and C carry one")
 
     @property
     def row(self) -> _Equation:
@@ -351,12 +353,14 @@ def _orders(depth: int) -> range:
 
 
 class SeriesSolution:
-    """Truncated separable series u(x, t) = P(t) * sum_n tau(t)^n * X_n(x).
+    """Truncated separable series u(x, t) = P(t) * sum_n tau(t)^n * X_n(x)
+    of a problem, built by section 6 to order `depth` (see the module
+    docstring).
 
     `profiles` are the exact X_n (n = 0, 1, ..., depth; only X_0 when
-    r1 = 0); `tau` is the problem's time variable;
+    r1 = 0); tau is the problem's time variable;
     P(t) = exp(-prefactor * tau(t)), 1 when `prefactor` is 0.  A folded
-    problem is given the unfolded X_n and the exact rate k: its `profiles`
+    problem keeps the unfolded X_n and the exact rate k: its `profiles`
     multiply P = sum_j (-k tau)^j / j! in by total order on first read, and
     its `prefactor` is 0.  `at(t)` evaluates u and its derivatives from one
     float table, built without that exact fold; `value(x, t)`
@@ -365,17 +369,27 @@ class SeriesSolution:
     differentiation happens inside a solution.
     """
 
-    def __init__(self, problem: PDEProblem, depth: int, metadata: dict,
-                 profiles: Iterable[GExpr], prefactor: RationalLike = 0):
+    def __init__(self, problem: PDEProblem, depth: int):
         orders = _orders(depth)
+        row = problem.row
+        k1, p, kappa = row.recipe
+        sign = problem.sign
+        ((c0, _, m0),) = row.u0.terms
         self.problem = problem
         self.depth = depth
-        self.metadata = metadata
-        self.ratio = problem.ratio
-        self.anti = None if problem.ratio is None else problem.ratio.antiderivative()
-        self._profiles = tuple(profiles)
-        self.tau = problem.tau
-        rate = as_rational(prefactor)
+        convention = {"convention": problem.convention.value} if problem.convention else {}
+        self.metadata = convention | row.metadata
+        # u_hat_0 r1^n = pole(c0 k1^n, p, m0 + n): u_hat_0 sits at r1's pole or is
+        # the unit.  inverse's term rule makes X_n = sign^n / n! inverse(...) the
+        # one term 2 c0 (sign k1)^n x^(2(m0+n-1)) e^(p x^2) / (n! (m0+n-1)!); X_0
+        # is the function 1 either way, and r1 = 0 leaves only it
+        self._profiles = (algebra.constant(1),) + tuple(
+            GExpr._trusted(((Fraction(2 * c0.numerator * (sign * k1.numerator) ** n,
+                                      c0.denominator * k1.denominator ** n
+                                      * math.factorial(n) * math.factorial(m0 + n - 1)),
+                             m0 + n - 1, p),))
+            for n in (orders[1:] if k1 else ()))
+        rate = -sign * kappa  # the prefactor exp(sign (b/d) tau) = exp(-rate tau)
         # the fold weights of P, (1,) for no fold.  The row that folds (B) has
         # p = 0 and u_hat_0 = T{1}, so X_i is one term at x^(2i): each folded
         # sum is canonical as built, and each table slot gets one product
@@ -399,7 +413,7 @@ class SeriesSolution:
         in as (P c, P (d - k c)); Horner with derivative in y gives
         S_y = e^(a y) (a p + p') per rate a, then u_x = 2 x S_y and
         u_t = tau'(t) S_tau."""
-        tau, tau_t = self.tau.value(t), self.tau.derivative(t)
+        tau, tau_t = self.problem.tau.value(t), self.problem.tau.derivative(t)
         collapsed = self._table.collapse_jet(tau)
         if self.prefactor:
             k = self.prefactor
@@ -424,7 +438,7 @@ class SeriesSolution:
     def _value_at(self, t: float) -> Callable[[float], float]:
         """x -> u at time t: the u of `at(t)` by the same float operations,
         without the derivatives (y^0 * p == p in `_horner_jet`)."""
-        tau = self.tau.value(t)
+        tau = self.problem.tau.value(t)
         collapsed = self._table.collapse(tau)
         if self.prefactor:
             p = math.exp(-self.prefactor * tau)
@@ -461,26 +475,11 @@ class SeriesSolution:
 def solve(family: Family, ratio: Optional[LPoly], depth: int,
           convention: Convention = Convention.DERIVED) -> SeriesSolution:
     """The section-6 series of a row, truncated at order depth (see the
-    module docstring); `convention` applies to rows that carry one."""
-    row = _ROWS[family]
-    problem = PDEProblem(family, ratio, convention if row.conventions else None)
-    orders = _orders(depth)
-    k1, p, kappa = row.recipe
-    sign = problem.sign
-    ((c0, _, m0),) = row.u0.terms
-    # u_hat_0 r1^n = pole(c0 k1^n, p, m0 + n): u_hat_0 sits at r1's pole or is
-    # the unit.  inverse's term rule makes X_n = sign^n / n! inverse(...) the
-    # one term 2 c0 (sign k1)^n x^(2(m0+n-1)) e^(p x^2) / (n! (m0+n-1)!); X_0
-    # is the function 1 either way, and r1 = 0 leaves only it
-    profiles = [algebra.constant(1)] + [
-        GExpr._trusted(((Fraction(2 * c0.numerator * (sign * k1.numerator) ** n,
-                                  c0.denominator * k1.denominator ** n
-                                  * math.factorial(n) * math.factorial(m0 + n - 1)),
-                         m0 + n - 1, p),))
-        for n in (orders[1:] if k1 else ())]
-    rate = -sign * kappa  # the prefactor exp(sign (b/d) tau) = exp(-rate tau)
-    metadata = ({"convention": problem.convention.value} if problem.convention else {}) | row.metadata
-    return SeriesSolution(problem, depth, metadata, profiles, rate)
+    module docstring).  The default convention is dropped for rows that
+    carry none; PDEProblem refuses any other."""
+    if convention is Convention.DERIVED and not _ROWS[family].conventions:
+        convention = None
+    return SeriesSolution(PDEProblem(family, ratio, convention), depth)
 
 
 def solve_family_a(depth: int) -> SeriesSolution:
@@ -676,7 +675,7 @@ def profile_gexpr(solution: SeriesSolution, t0: RationalLike) -> GExpr:
             f"family {solution.problem.family.value} has the non-rational "
             f"prefactor exp(-{tau}); no exact profile"
         )
-    tau = solution.tau.exact(as_rational(t0))
+    tau = solution.problem.tau.exact(as_rational(t0))
     return GExpr(tuple(
         GTerm(term.c * tau ** n, term.k, term.a)
         for n, profile in enumerate(solution.profiles) for term in profile.terms

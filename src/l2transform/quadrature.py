@@ -143,17 +143,17 @@ def _tail_bound(envelope: list[tuple[float, int, float]], x: float) -> float:
     return total + signed_exp_sum(logs) if logs else total
 
 
-def truncation_cutoff(envelope: list[tuple[float, int, float]], tail_epsilon: float) -> float:
+def truncation_cutoff(envelope: list[tuple[float, int, float]]) -> float:
     """Smallest cutoff (up to bisection width) with envelope tail below
-    tail_epsilon, found by doubling then bisection, which stops once the
+    TAIL_EPSILON, found by doubling then bisection, which stops once the
     midpoint rounds to an end of the bracket, where no step changes it."""
     x = 1.0
     doubles = 0
-    while _tail_bound(envelope, x) >= tail_epsilon:
+    while _tail_bound(envelope, x) >= TAIL_EPSILON:
         x *= 2.0
         doubles += 1
         if doubles > 200:
-            raise QuadratureFailureError("tail bound does not fall below tail_epsilon")
+            raise QuadratureFailureError("tail bound does not fall below TAIL_EPSILON")
     lo, hi = x / 2.0, x
     if doubles == 0:
         lo = 0.0
@@ -161,7 +161,7 @@ def truncation_cutoff(envelope: list[tuple[float, int, float]], tail_epsilon: fl
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if _tail_bound(envelope, mid) < tail_epsilon:
+        if _tail_bound(envelope, mid) < TAIL_EPSILON:
             hi = mid
         else:
             lo = mid
@@ -197,4 +197,4 @@ def l2_quadrature(f: GExpr, s: float) -> float:
         return signed_exp_sum((math.copysign(1.0, c), math.log(abs(c)) + m * math.log(x) + g * x * x)
                               for c, m, g in pieces)
 
-    return integrate_interval(integrand, 0.0, truncation_cutoff(envelope, TAIL_EPSILON))
+    return integrate_interval(integrand, 0.0, truncation_cutoff(envelope))

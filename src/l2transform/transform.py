@@ -20,18 +20,18 @@ whatever they are given.  `SExpr._trusted` and `GExpr._trusted` skip both
 for output that is canonical by construction (Fraction fields, nonzero
 coefficients, keys strictly ascending): `tuple.__new__` packs each triple,
 the one unchecked term path.  Only `_product`, `forward`, `inverse`,
-`delta_s`, `partial_fractions`, the profile builder `pde.solve` and the
-fold of `pde.SeriesSolution.profiles` use them.
+`delta_s`, `partial_fractions`, and `pde.SeriesSolution`'s profile builder
+and fold use them.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .algebra import GExpr, RationalLike, _is_count, as_rational
 from .errors import ImpulseContentError
@@ -62,14 +62,9 @@ class SExpr:
     Terms are sorted by (a, m), like terms merged, zeros dropped.  Constant
     (m = 0) terms have their pole slot normalized to a = 0 so constants
     compare equal regardless of how they were produced.
-
-    `region` records the validity half-line sigma > region for expressions
-    produced by the forward transform; arithmetic keeps the max of the
-    operands.  It is metadata and excluded from equality.
     """
 
     terms: tuple[STerm, ...] = ()
-    region: Optional[Fraction] = field(default=None, compare=False)
 
     def __post_init__(self):
         merged: dict[tuple[Fraction, int], Fraction] = {}
@@ -80,14 +75,13 @@ class SExpr:
             tuple.__new__(STerm, (c, a, m)) for (a, m), c in sorted(merged.items()) if c != 0))
 
     @classmethod
-    def _trusted(cls, terms: Iterable[tuple[Fraction, Fraction, int]],
-                 region: Optional[Fraction] = None) -> "SExpr":
+    def _trusted(cls, terms: Iterable[tuple[Fraction, Fraction, int]]) -> "SExpr":
         """SExpr of (c, a, m) triples that are canonical by construction
         (c nonzero, c and a Fractions with a = 0 where m = 0, m an int >= 0,
         keys (a, m) strictly ascending), built without __post_init__'s
         coercion and re-merge."""
         out = object.__new__(cls)
-        out.__dict__.update(terms=tuple([tuple.__new__(STerm, t) for t in terms]), region=region)
+        out.__dict__.update(terms=tuple([tuple.__new__(STerm, t) for t in terms]))
         return out
 
     def __add__(self, other: "SExpr") -> "SExpr":
@@ -110,11 +104,6 @@ class SExpr:
         return all(t.m >= 1 for t in self.terms)
 
 
-def _region(exprs: Iterable[SExpr]) -> Optional[Fraction]:
-    """Max of the operands' regions; None when no operand has one."""
-    return max((s.region for s in exprs if s.region is not None), default=None)
-
-
 def constant(c: RationalLike) -> SExpr:
     return SExpr((STerm(c, 0, 0),))
 
@@ -124,22 +113,21 @@ def pole(c: RationalLike, a: RationalLike, m: int) -> SExpr:
 
 
 def add(s1: SExpr, s2: SExpr) -> SExpr:
-    return SExpr(s1.terms + s2.terms, region=_region((s1, s2)))
+    return SExpr(s1.terms + s2.terms)
 
 
 def scale(s: SExpr, c: RationalLike) -> SExpr:
     c = as_rational(c)
-    return SExpr(tuple(STerm(t.c * c, t.a, t.m) for t in s.terms), region=s.region)
+    return SExpr(tuple(STerm(t.c * c, t.a, t.m) for t in s.terms))
 
 
 def forward(e: GExpr) -> SExpr:
     """Transform of a function-algebra element.
 
     Term rule: c x**(2k) e^(a x^2)  ->  c * k!/2 * (sigma - a)**-(k+1).
-    The result is valid on sigma > max a, recorded in `region`.
+    The result is valid on sigma > max a.
     """
-    return SExpr._trusted(((t.c * math.factorial(t.k) / 2, t.a, t.k + 1) for t in e.terms),
-                          region=e.max_rate() if e.terms else None)
+    return SExpr._trusted((t.c * math.factorial(t.k) / 2, t.a, t.k + 1) for t in e.terms)
 
 
 def inverse(s: SExpr) -> GExpr:
@@ -161,8 +149,7 @@ def delta_s(s: SExpr) -> SExpr:
 
     Term rule: c (sigma - a)**(-m)  ->  -2 m c (sigma - a)**-(m+1).
     """
-    return SExpr._trusted(((-2 * t.m * t.c, t.a, t.m + 1) for t in s.terms if t.m >= 1),
-                          region=s.region)
+    return SExpr._trusted((-2 * t.m * t.c, t.a, t.m + 1) for t in s.terms if t.m >= 1)
 
 
 def mul_sigma(s: SExpr) -> SExpr:
@@ -179,7 +166,7 @@ def mul_sigma(s: SExpr) -> SExpr:
             )
         out.append(STerm(t.c, t.a, t.m - 1))
         out.append(STerm(t.a * t.c, t.a, t.m))
-    return SExpr(tuple(out), region=s.region)
+    return SExpr(tuple(out))
 
 
 def _laurent_factor(s: SExpr, a: Fraction, n: int) -> tuple[list[int], int]:
@@ -260,7 +247,7 @@ def _product(factors: list[SExpr], exponent: int = 1) -> SExpr:
         out.extend((Fraction(series[j], den), a, n - j) for j in reversed(range(n)) if series[j])
     if const:
         out.append((const, Fraction(0), 0))
-    return SExpr._trusted(out, region=_region(factors))
+    return SExpr._trusted(out)
 
 
 def partial_fractions(factors: Iterable[tuple[RationalLike, int]]) -> SExpr:

@@ -181,7 +181,7 @@ def term_value(sol, n: int, x: float, t: float) -> float:
     profile."""
     if n >= len(sol.profiles):
         return 0.0
-    tau = sol.tau.value(t)
+    tau = sol.problem.tau.value(t)
     return math.exp(-float(sol.prefactor) * tau) * tau ** n * evaluate(sol.profiles[n], x)
 
 

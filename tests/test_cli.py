@@ -222,6 +222,19 @@ class TestExitCodes:
         code, _, _ = run_cli(["solve", "--family", "B", "--n", "5"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "residual"])
+    @pytest.mark.parametrize("family", ["A", "D"])
+    def test_paper_convention_of_a_row_without_one_is_2(self, command, family, files, capsys):
+        args = [command, "--family", family, "--n", "3"]
+        if family == "D":
+            args += ["--ratio", files["ratio_one"]]
+        code, out, err = run_cli(args + ["--convention", "paper"], capsys)
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert set(doc) == {"code", "message"} and doc["code"] == 2
+        code, out, _ = run_cli(args + ["--convention", "derived"], capsys)
+        assert code == 0 and json.loads(out)["convention"] is None
+
     @pytest.mark.parametrize("grid", [
         "0.5,2,2,0,1,2",        # t bound 0: the log spacing would divide by it
         "-1,2,2,0.5,1,2",       # negative x bound

@@ -238,7 +238,7 @@ class TestFamilyC:
     def test_term_two_is_scaled_star_power(self):
         sol = solve_family_c(M_ONE, 6, Convention.PAPER_LITERAL)
         t0 = F(3, 2)
-        hh = sol.anti.evaluate_exact(t0)
+        hh = sol.problem.ratio.antiderivative().evaluate_exact(t0)
         term = algebra.scale(sol.star_part(2), hh ** 2 / 2)
         assert sol.star_part(2) == star_power(EXP_HALF, 2)
         assert term == algebra.gaussian("1/2", c=hh ** 2 / 4, k=1)
@@ -620,8 +620,8 @@ class TestJet:
     @pytest.mark.parametrize("t0", [F(1, 2), F(1), F(3, 2)])
     def test_jet_matches_the_exact_algebra(self, name, t0):
         sol = _solution(name, M_1PT, 12)
-        tau = sol.tau.exact(t0)
-        tau_t = -2 / t0 ** 3 if sol.ratio is None else sol.ratio.evaluate_exact(t0)
+        tau = sol.problem.tau.exact(t0)
+        tau_t = -2 / t0 ** 3 if sol.problem.ratio is None else sol.problem.ratio.evaluate_exact(t0)
         orders = range(len(sol.profiles))
         s = _weighted_series(sol, [tau ** n for n in orders])
         s_tau = _weighted_series(sol, [n * tau ** (n - 1) if n else 0 for n in orders])
@@ -678,7 +678,7 @@ class TestClosedForms:
             assert sol.depth == depth
             assert sol.profiles == _closed_form_profiles(variant, depth), (variant, depth)
             assert bool(sol.prefactor) == (variant in self.PREFACTOR)
-            assert sol.tau.exact(t0) == tau0
+            assert sol.problem.tau.exact(t0) == tau0
 
 
 def _float_table(profiles: tuple[GExpr, ...]) -> list:
@@ -747,6 +747,14 @@ class TestProblem:
     def test_ratio_families_require_ratio(self):
         with pytest.raises(ValueError):
             pde.PDEProblem(Family.B)
+
+    @pytest.mark.parametrize("family, ratio", [(Family.A, None), (Family.D, M_ONE)])
+    def test_paper_convention_needs_a_row_that_carries_one(self, family, ratio):
+        with pytest.raises(ValueError, match="no paper convention"):
+            pde.solve(family, ratio, 3, Convention.PAPER_LITERAL)
+        with pytest.raises(ValueError, match="no paper convention"):
+            pde.PDEProblem(family, ratio, Convention.PAPER_LITERAL)
+        assert pde.solve(family, ratio, 3, Convention.DERIVED).problem.convention is None
 
     def test_describe(self):
         assert "t^3" in pde.PDEProblem(Family.A).describe()

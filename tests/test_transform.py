@@ -44,12 +44,6 @@ class TestForward:
             a = rand_fraction(rng, -3, 3)
             assert forward(algebra.gaussian(a)) == tf.pole(F(1, 2), a, 1)
 
-    def test_region_metadata(self):
-        s = forward(algebra.gaussian("1/2") + algebra.constant(1))
-        assert s.region == F(1, 2)
-        assert (s + forward(algebra.constant(2))).region == F(1, 2)
-        assert forward(GExpr()).region is None
-
 
 class TestInverse:
     def test_power_pole(self):
@@ -186,28 +180,6 @@ class TestBooleansAreNotCounts:
             partial_fractions([(0, True)])
 
 
-class TestRegion:
-    def test_products_keep_the_largest_region(self):
-        s1 = forward(algebra.gaussian("1/2") + algebra.constant(1))
-        s2 = forward(algebra.gaussian(-1))
-        bare = tf.pole(1, 3, 2)
-        assert (s1.region, s2.region, bare.region) == (F(1, 2), F(-1), None)
-        assert tf.multiply(s1, s2).region == F(1, 2)
-        assert tf.multiply(s2, s2).region == F(-1)
-        assert tf.multiply(s2, bare).region == F(-1)
-        assert tf.multiply(bare, bare).region is None
-        assert tf.power(s2, 3).region == F(-1)
-        assert tf.power(tf.constant(2), 2).region is None
-
-    def test_partial_fractions_refuse_a_float_pole(self):
-        with pytest.raises(TypeError):
-            partial_fractions([(0.5, 1)])
-
-    def test_partial_fractions_have_no_region(self):
-        assert partial_fractions([(0, 1), (F(1, 2), 2)]).region is None
-        assert partial_fractions([]).region is None
-
-
 sexpr_strategy = st.builds(
     tf.SExpr,
     st.lists(
@@ -219,7 +191,6 @@ sexpr_strategy = st.builds(
         ),
         max_size=4,
     ).map(tuple),
-    region=st.one_of(st.none(), st.fractions(min_value=-2, max_value=2, max_denominator=4)),
 )
 
 
@@ -229,8 +200,6 @@ def test_multiply_matches_the_oracle_property(s1, s2):
     got = tf.multiply(s1, s2)
     assert equals_product(got, [s1, s2])
     assert got == tf.multiply(s2, s1)
-    regions = [r for r in (s1.region, s2.region) if r is not None]
-    assert got.region == (max(regions) if regions else None)
 
 
 @given(sexpr_strategy, st.integers(min_value=2, max_value=4))
@@ -245,7 +214,7 @@ def test_power_is_a_left_fold_of_multiply_property(s, n):
     # power passes its base to _product once; multiply builds each product
     # from two separate factors
     got, folded = tf.power(s, n), functools.reduce(tf.multiply, [s] * n)
-    assert got == folded and got.region == folded.region
+    assert got == folded
 
 
 def _assert_canonical(r):
@@ -255,7 +224,7 @@ def _assert_canonical(r):
         assert GExpr(r.terms).terms == r.terms
         assert all(type(t.c) is F and type(t.a) is F and type(t.k) is int for t in r.terms)
     else:
-        assert tf.SExpr(r.terms, r.region).terms == r.terms
+        assert tf.SExpr(r.terms).terms == r.terms
         assert all(type(t.c) is F and type(t.a) is F and type(t.m) is int for t in r.terms)
 
 
@@ -291,6 +260,10 @@ def _as_rational(s):
 
 
 class TestPartialFractions:
+    def test_partial_fractions_refuse_a_float_pole(self):
+        with pytest.raises(TypeError):
+            partial_fractions([(0.5, 1)])
+
     def test_two_simple_poles(self):
         got = partial_fractions([(0, 1), (1, 1)])
         assert got == tf.pole(1, 1, 1) + tf.pole(-1, 0, 1)
@@ -352,7 +325,7 @@ def test_derivation_identity_property(e):
 @given(gexpr_strategy, sexpr_strategy)
 @settings(max_examples=100, deadline=None)
 def test_transforms_are_canonical_property(e, s):
-    proper = tf.SExpr(tuple(t for t in s.terms if t.m), s.region)
+    proper = tf.SExpr(tuple(t for t in s.terms if t.m))
     for got in (forward(e), inverse(forward(e)), inverse(proper), delta_s(s), delta_s(forward(e))):
         _assert_canonical(got)
 
