@@ -191,6 +191,25 @@ class TestRule:
                 convolve_numeric(f, g, t)
         assert [(lo, hi, len(calls)) for _, lo, hi, calls in pieces] == [(0.0, 1.0, 21)] * 150
 
+    @pytest.mark.parametrize("f, g, exact", [
+        (lambda x: x, lambda x: 1.0, lambda t: t ** 3 / 3),
+        (lambda x: x, lambda x: x, lambda t: math.pi * t ** 4 / 16),
+        (math.sqrt, lambda x: 1.0, lambda t: 0.4 * t ** 2.5),
+    ], ids=["x*1", "x*x", "sqrt(x)*1"])
+    def test_bare_callables_with_odd_powers(self, f, g, exact):
+        # convolve_numeric's integrand in v for factors that are not functions
+        # of x^2: sqrt-type endpoint behaviour the rule must still bisect down
+        for t in (0.5, 2.0):
+            got = integrate_interval(
+                lambda v: 0.5 * t * t * f(t * math.sqrt(1.0 - v)) * g(t * math.sqrt(v)), 0.0, 1.0)
+            assert got == pytest.approx(exact(t), rel=1e-12)
+
+    def test_budget_exhaustion_fails(self):
+        # sin(1/x) at x = 2 sqrt(1 - v) oscillates without end as v -> 1
+        with pytest.raises(QuadratureFailureError, match=f"within {MAX_SUBINTERVALS} subintervals"):
+            integrate_interval(lambda v: 2.0 * math.sin(1 / (2.0 * math.sqrt(1.0 - v)))
+                               if v < 1.0 else 0.0, 0.0, 1.0)
+
     def test_nan_integrand_fails(self):
         for fn in (lambda x: math.nan, lambda x: math.nan if x == 0.5 else 1.0):
             with pytest.raises(QuadratureFailureError):
