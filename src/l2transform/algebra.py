@@ -5,10 +5,11 @@
 on the half line [0, inf).  The class is closed under addition,
 multiplication, the ring derivation delta_x = (1/x) d/dx, the transform,
 and its convolution, which is what makes every identity in this package
-checkable with exact rationals.
+checkable with exact rationals.  `LPoly` holds the PDE layer's exact
+polynomials in t.
 
 Scalars are `fractions.Fraction` throughout; floating point enters only in
-:func:`evaluate` and in the numeric oracle module.
+:func:`evaluate`, `LPoly`'s float evaluations and the numeric oracle module.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -222,3 +223,68 @@ def _term_logs(e: GExpr, x: float) -> list[float]:
         + 2 * t.k * math.log(x) + float(t.a) * x * x
         for t in e.terms
     ]
+
+
+@dataclass(frozen=True)
+class LPoly:
+    """Polynomial in t with rational coefficients, stored sparsely as
+    (degree, coefficient) pairs; zero coefficients are never kept."""
+
+    coefficients: tuple[tuple[int, Fraction], ...] = ()
+
+    def __post_init__(self):
+        merged: dict[int, Fraction] = {}
+        for deg, c in self.coefficients:
+            if not _is_count(deg, 0):
+                raise ValueError(f"degree must be a nonnegative integer, got {deg!r}")
+            merged[deg] = merged.get(deg, Fraction(0)) + as_rational(c)
+        canon = tuple((d, c) for d, c in sorted(merged.items()) if c != 0)
+        object.__setattr__(self, "coefficients", canon)
+
+    def __bool__(self) -> bool:
+        return bool(self.coefficients)
+
+    def __add__(self, other: "LPoly") -> "LPoly":
+        return LPoly(self.coefficients + other.coefficients)
+
+    def __mul__(self, other: "LPoly") -> "LPoly":
+        out = []
+        for d1, c1 in self.coefficients:
+            for d2, c2 in other.coefficients:
+                out.append((d1 + d2, c1 * c2))
+        return LPoly(tuple(out))
+
+    def __pow__(self, n: int) -> "LPoly":
+        if not _is_count(n, 0):
+            raise ValueError("LPoly powers must be nonnegative integers")
+        return math.prod([self] * n, start=LPoly(((0, Fraction(1)),)))
+
+    def scale(self, c: RationalLike) -> "LPoly":
+        c = as_rational(c)
+        return LPoly(tuple((d, cc * c) for d, cc in self.coefficients))
+
+    def derivative(self) -> "LPoly":
+        return LPoly(tuple((d - 1, d * c) for d, c in self.coefficients if d >= 1))
+
+    def antiderivative(self) -> "LPoly":
+        """The antiderivative vanishing at t = 0."""
+        return LPoly(tuple((d + 1, c / (d + 1)) for d, c in self.coefficients))
+
+    @cached_property
+    def _float_coefficients(self) -> tuple[tuple[int, float], ...]:
+        return tuple((d, float(c)) for d, c in self.coefficients)
+
+    def evaluate(self, t: float) -> float:
+        return sum(c * t ** d for d, c in self._float_coefficients)
+
+    def evaluate_exact(self, t: Fraction) -> Fraction:
+        t = as_rational(t)
+        return sum((c * t ** d for d, c in self.coefficients), Fraction(0))
+
+    def abs_coeff_bound(self, t_hi: float) -> float:
+        """sum |c_d| t_hi**d, a bound for |p(t)| on [0, t_hi] (t_hi >= 0)."""
+        return sum(abs(c) * t_hi ** d for d, c in self._float_coefficients)
+
+
+def lpoly(mapping: Mapping[int, RationalLike]) -> LPoly:
+    return LPoly(tuple((d, as_rational(c)) for d, c in mapping.items()))

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from . import convolution, growth, pde, quadrature, serialization
+# Only serialization, transform and errors load with this module (the
+# docstring above is `l2t --help`); each handler imports the other modules it
+# calls, so a subcommand loads none it does not use.
+from . import serialization
 from . import transform as tf
 from .errors import (
     DivergentIntegralError,
@@ -29,6 +33,9 @@ from .serialization import (
     rational_from_string,
     rational_to_string,
 )
+
+if TYPE_CHECKING:
+    from . import pde
 
 
 class _UsageError(Exception):
@@ -80,13 +87,15 @@ def _parse_grid(text: str):
     return x0, x1, nx, t0, t1, nt
 
 
-_FAMILIES = {f.value: f for f in pde.Family}
-_CONVENTIONS = {c.value: c for c in pde.Convention}
+# The values of pde.Family and pde.Convention, so that parsing loads no pde
+_FAMILIES = ("A", "B", "C", "D")
+_CONVENTIONS = ("derived", "paper")
 
 
 def _build_solution(args) -> pde.SeriesSolution:
+    from . import pde
     ratio = None if args.ratio is None else _load_typed(args.ratio, "lpoly")
-    return pde.solve(_FAMILIES[args.family], ratio, args.n, _CONVENTIONS[args.convention])
+    return pde.solve(pde.Family(args.family), ratio, args.n, pde.Convention(args.convention))
 
 
 def _solution_terms(sol: pde.SeriesSolution) -> list:
@@ -128,22 +137,26 @@ def _cmd_invert(args):
 
 
 def _cmd_convolve(args):
+    from . import convolution
     f = _load_typed(args.f, "gexpr")
     g = _load_typed(args.g, "gexpr")
     return object_to_document(convolution.convolve_symbolic(f, g))
 
 
 def _cmd_starpow(args):
+    from . import convolution
     return object_to_document(convolution.star_power(_load_typed(args.f, "gexpr"), args.n))
 
 
 def _cmd_quad(args):
+    from . import quadrature
     f = _load_typed(args.expr, "gexpr")
     value = quadrature.l2_quadrature(f, args.s)
     return {"kind": "quadrature", "s": args.s, "sigma": args.s * args.s, "value": value}
 
 
 def _cmd_solve(args):
+    from . import pde
     sol = _build_solution(args)
     if args.freeze_t is not None:
         t0 = rational_from_string(args.freeze_t, "--freeze-t")
@@ -163,6 +176,7 @@ def _cmd_solve(args):
 
 
 def _cmd_residual(args):
+    from . import pde
     sol = _build_solution(args)
     x0, x1, nx, t0, t1, nt = _parse_grid(args.grid)
     grid = pde.default_grid(x0, x1, nx, t0, t1, nt)
@@ -192,6 +206,7 @@ def _growth_flag(value):
 
 
 def _cmd_classify(args):
+    from . import growth
     e = _load_typed(args.expr, "gexpr")
     exact = growth.classify_exact(e)
     out = {
@@ -210,6 +225,7 @@ def _cmd_classify(args):
 
 
 def _cmd_bound_check(args):
+    from . import growth
     f = _load_typed(args.f, "gexpr")
     g = _load_typed(args.g, "gexpr")
     xs = _parse_samples(args.samples)

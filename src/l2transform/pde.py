@@ -2,10 +2,10 @@
 
     f(t) (a u + b delta_x(u)) + c u_t + d delta_x(u_t) = 0,    d != 0,
 
-on x, t > 0 (u = u(x, t), delta_x = (1/x) d/dx the ring derivation), an
-exact-coefficient polynomial type for the t-dependent data, and a residual
-harness that evaluates each equation on a grid with analytic derivatives,
-cross-checked by finite differences.
+on x, t > 0 (u = u(x, t), delta_x = (1/x) d/dx the ring derivation), with
+the t-dependent data as exact polynomials (`LPoly`, defined in algebra and
+re-exported here), and a residual harness that evaluates each equation on a
+grid with analytic derivatives, cross-checked by finite differences.
 
 Families A-D are rows of data (`_ROWS`): their (a, b, c, d), time variable,
 equation text and residual expression.  The t-coefficient enters through
@@ -54,85 +54,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import algebra
 from . import transform as tf
-from .algebra import GExpr, GTerm, RationalLike, _is_count, as_rational
+from .algebra import GExpr, GTerm, LPoly, RationalLike, _is_count, as_rational, lpoly  # noqa: F401
 from .errors import GridDomainError
 from .transform import SExpr
 
 FD_STEP = 1e-5
 _LOG_FLOAT_MAX = math.log(math.nextafter(math.inf, 0))  # the largest argument math.exp takes
-
-
-# ---------------------------------------------------------------------------
-# Exact polynomials in t
-
-
-@dataclass(frozen=True)
-class LPoly:
-    """Polynomial in t with rational coefficients, stored sparsely as
-    (degree, coefficient) pairs; zero coefficients are never kept."""
-
-    coefficients: tuple[tuple[int, Fraction], ...] = ()
-
-    def __post_init__(self):
-        merged: dict[int, Fraction] = {}
-        for deg, c in self.coefficients:
-            if not _is_count(deg, 0):
-                raise ValueError(f"degree must be a nonnegative integer, got {deg!r}")
-            merged[deg] = merged.get(deg, Fraction(0)) + as_rational(c)
-        canon = tuple((d, c) for d, c in sorted(merged.items()) if c != 0)
-        object.__setattr__(self, "coefficients", canon)
-
-    def __bool__(self) -> bool:
-        return bool(self.coefficients)
-
-    def __add__(self, other: "LPoly") -> "LPoly":
-        return LPoly(self.coefficients + other.coefficients)
-
-    def __mul__(self, other: "LPoly") -> "LPoly":
-        out = []
-        for d1, c1 in self.coefficients:
-            for d2, c2 in other.coefficients:
-                out.append((d1 + d2, c1 * c2))
-        return LPoly(tuple(out))
-
-    def __pow__(self, n: int) -> "LPoly":
-        if not _is_count(n, 0):
-            raise ValueError("LPoly powers must be nonnegative integers")
-        return math.prod([self] * n, start=LPoly(((0, Fraction(1)),)))
-
-    def scale(self, c: RationalLike) -> "LPoly":
-        c = as_rational(c)
-        return LPoly(tuple((d, cc * c) for d, cc in self.coefficients))
-
-    def derivative(self) -> "LPoly":
-        return LPoly(tuple((d - 1, d * c) for d, c in self.coefficients if d >= 1))
-
-    def antiderivative(self) -> "LPoly":
-        """The antiderivative vanishing at t = 0."""
-        return LPoly(tuple((d + 1, c / (d + 1)) for d, c in self.coefficients))
-
-    @cached_property
-    def _float_coefficients(self) -> tuple[tuple[int, float], ...]:
-        return tuple((d, float(c)) for d, c in self.coefficients)
-
-    def evaluate(self, t: float) -> float:
-        return sum(c * t ** d for d, c in self._float_coefficients)
-
-    def evaluate_exact(self, t: Fraction) -> Fraction:
-        t = as_rational(t)
-        return sum((c * t ** d for d, c in self.coefficients), Fraction(0))
-
-    def abs_coeff_bound(self, t_hi: float) -> float:
-        """sum |c_d| t_hi**d, a bound for |p(t)| on [0, t_hi] (t_hi >= 0)."""
-        return sum(abs(c) * t_hi ** d for d, c in self._float_coefficients)
-
-
-def lpoly(mapping: Mapping[int, RationalLike]) -> LPoly:
-    return LPoly(tuple((d, as_rational(c)) for d, c in mapping.items()))
 
 
 # ---------------------------------------------------------------------------

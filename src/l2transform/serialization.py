@@ -22,9 +22,8 @@ import re
 from fractions import Fraction
 from typing import Optional, Union
 
-from .algebra import GExpr, GTerm, _is_count
+from .algebra import GExpr, GTerm, LPoly, _is_count
 from .errors import SchemaError
-from .pde import LPoly
 from .transform import SExpr, STerm
 
 Expression = Union[GExpr, SExpr, LPoly]

@@ -1,5 +1,5 @@
-"""CLI tests: every subcommand, the documented exit codes, and output
-stability across repeated runs."""
+"""CLI tests: every subcommand, the documented exit codes, output
+stability across repeated runs, and the modules a subcommand loads."""
 
 import contextlib
 import io
@@ -332,6 +332,41 @@ class TestStability:
         code, out, _ = run_cli(["transform", "-"], capsys)
         assert code == 0
         assert json.loads(out)["kind"] == "sexpr"
+
+
+# Prints, as its last line, the l2transform submodules loaded after importing
+# the CLI, after `transform` and after `solve`.
+_LOADED_MODULES = """
+import json, sys
+import l2transform.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("l2transform."))
+
+steps = [loaded()]
+for argv in (["transform", sys.argv[1]], ["solve", "--family", "A", "--n", "3"]):
+    assert l2transform.cli.main(argv) == 0, argv
+    steps.append(loaded())
+print(json.dumps(steps))
+"""
+_LAZY = {"l2transform.pde", "l2transform.growth", "l2transform.quadrature",
+         "l2transform.convolution"}
+
+
+class TestLazyLoading:
+    def test_a_subcommand_loads_only_the_modules_it_calls(self, files):
+        proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, files["one"]],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        after_import, after_transform, after_solve = json.loads(proc.stdout.splitlines()[-1])
+        assert not _LAZY & set(after_import)
+        assert not _LAZY & set(after_transform)
+        assert "l2transform.pde" in after_solve
+
+    def test_literal_choices_match_the_enums(self):
+        from l2transform import cli, pde
+        assert sorted(cli._FAMILIES) == sorted(f.value for f in pde.Family)
+        assert sorted(cli._CONVENTIONS) == sorted(c.value for c in pde.Convention)
 
 
 def run_in_process(args, docs):
