@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
-    "algebra": ["GExpr", "GTerm", "LPoly", "as_rational", "canonicalize", "evaluate",
-                "delta_x", "limit_at_zero", "lpoly"],
+    "algebra": ["GExpr", "GTerm", "LPoly", "as_rational", "evaluate", "delta_x",
+                "limit_at_zero", "lpoly"],
     "transform": ["SExpr", "STerm", "forward", "inverse", "delta_s", "mul_sigma",
                   "partial_fractions"],
     "convolution": ["convolve_symbolic", "convolve_numeric", "star_power", "EXP_HALF"],

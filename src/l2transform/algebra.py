@@ -117,15 +117,6 @@ class GExpr:
         return tuple((float(t.c), 2 * t.k, float(t.a)) for t in self.terms)
 
 
-def canonicalize(terms: Iterable[GTerm]) -> GExpr:
-    """Canonical form of an arbitrary term sequence (merge, drop zeros, sort)."""
-    return GExpr(tuple(terms))
-
-
-def zero() -> GExpr:
-    return GExpr()
-
-
 def constant(c: RationalLike) -> GExpr:
     return GExpr((GTerm(c, 0, 0),))
 

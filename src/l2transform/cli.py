@@ -167,7 +167,7 @@ def _cmd_solve(args):
         "family": sol.problem.family.value,
         "convention": sol.problem.convention.value if sol.problem.convention else None,
         "depth": sol.depth,
-        "equation": sol.problem.describe(),
+        "equation": sol.problem.row.text,
         "ratio": object_to_document(ratio) if ratio is not None else None,
         "ratio_antiderivative": object_to_document(ratio.antiderivative()) if ratio is not None else None,
         "terms": _solution_terms(sol),
@@ -184,10 +184,10 @@ def _cmd_residual(args):
     bound = pde.truncation_bound(sol, x1, (t0, t1))
     return {
         "kind": "residual_report",
-        "family": report.family.value,
-        "convention": report.convention.value if report.convention else None,
+        "family": sol.problem.family.value,
+        "convention": sol.problem.convention.value if sol.problem.convention else None,
         "depth": report.depth,
-        "equation": sol.problem.describe(),
+        "equation": sol.problem.row.text,
         "grid": {"x_lo": x0, "x_hi": x1, "nx": nx,
                  "t_lo": t0, "t_hi": t1, "nt": nt, "spacing": "log"},
         "points": [
@@ -197,7 +197,7 @@ def _cmd_residual(args):
         "max_abs": report.max_abs,
         "fd_max_deviation": report.fd_max_deviation,
         "truncation_bound": bound,
-        "metadata": report.metadata,
+        "metadata": sol.metadata,
     }
 
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -211,9 +211,6 @@ class PDEProblem:
         series by total order: the paper convention of a row with b != 0."""
         return self.convention is Convention.PAPER_LITERAL and bool(self.row.recipe[2])
 
-    def describe(self) -> str:
-        return self.row.text
-
 
 def _horner(coeffs: tuple[float, ...], z: float) -> float:
     """p(z), p given from the highest power down.  The same float operations
@@ -276,13 +273,6 @@ class _HornerTable:
                 for a, table in self.rates]
 
 
-def _orders(depth: int) -> range:
-    """The term orders 0..depth of a valid truncation depth."""
-    if not _is_count(depth, 1):
-        raise ValueError("truncation depth must be an integer >= 1")
-    return range(depth + 1)
-
-
 class SeriesSolution:
     """Truncated separable series u(x, t) = P(t) * sum_n tau(t)^n * X_n(x)
     of a problem, built by section 6 to order `depth` (see the module
@@ -301,7 +291,9 @@ class SeriesSolution:
     """
 
     def __init__(self, problem: PDEProblem, depth: int):
-        orders = _orders(depth)
+        if not _is_count(depth, 1):
+            raise ValueError("truncation depth must be an integer >= 1")
+        orders = range(depth + 1)
         row = problem.row
         k1, p, kappa = row.recipe
         sign = problem.sign
@@ -447,15 +439,12 @@ GridPoint = tuple[float, float]
 
 @dataclass(frozen=True)
 class ResidualReport:
-    family: Family
-    convention: Optional[Convention]
     depth: int
     points: tuple[GridPoint, ...]
     exact: tuple[float, ...]
     finite_difference: tuple[float, ...]
     max_abs: float
     fd_max_deviation: float
-    metadata: dict = field(compare=False)
 
 
 def default_grid(x_lo: float = 0.1, x_hi: float = 2.0, nx: int = 10,
@@ -524,15 +513,12 @@ def residual(problem: PDEProblem, solution: SeriesSolution,
         fd.append(equation(f, x, t, u, ut, ux, uxt))
 
     return ResidualReport(
-        family=problem.family,
-        convention=solution.problem.convention,
         depth=solution.depth,
         points=pts,
         exact=tuple(exact),
         finite_difference=tuple(fd),
         max_abs=_max_or_nan([abs(r) for r in exact]),
         fd_max_deviation=_max_or_nan([abs(a - b) for a, b in zip(exact, fd)]),
-        metadata=dict(solution.metadata),
     )
 
 

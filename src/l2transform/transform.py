@@ -85,10 +85,10 @@ class SExpr:
         return out
 
     def __add__(self, other: "SExpr") -> "SExpr":
-        return add(self, other)
+        return SExpr(self.terms + other.terms)
 
     def __sub__(self, other: "SExpr") -> "SExpr":
-        return add(self, scale(other, Fraction(-1)))
+        return self + (-other)
 
     def __neg__(self) -> "SExpr":
         return scale(self, Fraction(-1))
@@ -110,10 +110,6 @@ def constant(c: RationalLike) -> SExpr:
 
 def pole(c: RationalLike, a: RationalLike, m: int) -> SExpr:
     return SExpr((STerm(c, a, m),))
-
-
-def add(s1: SExpr, s2: SExpr) -> SExpr:
-    return SExpr(s1.terms + s2.terms)
 
 
 def scale(s: SExpr, c: RationalLike) -> SExpr:

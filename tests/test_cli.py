@@ -116,6 +116,17 @@ class TestCommands:
         assert doc["max_abs"] <= 1e-12
         assert 0 <= doc["truncation_bound"] < math.inf
 
+    def test_deep_folded_residual(self, files, capsys):
+        # the folded row's tail bound sums its terms by ratios, so 200! never forms
+        code, out, _ = run_cli(
+            ["residual", "--family", "B", "--convention", "paper", "--ratio", files["ratio_1_t3"],
+             "--n", "200", "--grid", "0.2,2,4,0.5,2,4"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["depth"] == 200 and len(doc["points"]) == 16
+        assert doc["fd_max_deviation"] <= 1e-4 * max(1.0, doc["max_abs"])
+        assert 0 <= doc["truncation_bound"] < math.inf
+
     def test_classify(self, files, capsys):
         code, out, _ = run_cli(
             ["classify", files["exp_half"], "--samples", "2,6,17"], capsys)

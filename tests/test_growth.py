@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from l2transform import (
-    Convention, EXP_HALF, NonPositiveSampleError, algebra, check_bound,
+    Convention, EXP_HALF, GExpr, NonPositiveSampleError, algebra, check_bound,
     classify_exact, estimate_rate, lpoly, solve_family_c,
 )
 
@@ -41,7 +41,7 @@ class TestClassifyExact:
         assert r.is_exponential_order is False
 
     def test_zero_expression(self):
-        r = classify_exact(algebra.zero())
+        r = classify_exact(GExpr())
         assert r.exact_rate == 0
         assert r.is_exponential_order is True
 
@@ -52,6 +52,15 @@ class TestEstimateRate:
         assert r.estimated_rate == pytest.approx(0.5, abs=0.01)
         assert r.is_exponential_order is False
         assert r.is_exp_squared_order is True
+
+    def test_fewer_than_three_samples_past_the_midpoint_fit_the_last_three(self):
+        # only x = 10 lies past the midpoint 5.5, so the fit takes 1.5, 1.6
+        # and 10; a fourth sample, x = 1.4, would bend the second function's fit
+        xs = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 10.0]
+        for f in (algebra.gaussian(F(1, 2)), lambda x: math.exp(x * x / 2) if x >= 1.5 else 1.0):
+            r = estimate_rate(f, xs)
+            assert r.estimated_rate == pytest.approx(0.5, abs=1e-12)
+            assert r.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_constant(self):
         r = estimate_rate(lambda x: 5.0, SAMPLES)

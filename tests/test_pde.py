@@ -250,6 +250,14 @@ class TestFamilyC:
         for n in range(1, 7):
             assert sol.star_part(n) == star_power(EXP_HALF, n)
 
+    def test_star_part_refusals(self):
+        sol = solve_family_c(M_T, 6)
+        for n in (0, 7):
+            with pytest.raises(ValueError, match="1 <= n <= depth"):
+                sol.star_part(n)
+        with pytest.raises(ValueError, match="unfolded series"):
+            solve_family_b(M_ONE, 6, Convention.PAPER_LITERAL).star_part(1)
+
     def test_transform_identity_battery(self):
         for h in (M_ONE, M_T, M_2T, M_1PT):
             assert pde.family_c_transform_identity(h, 10)
@@ -268,7 +276,7 @@ class TestFamilyC:
         rep = residual(sol.problem, sol, GRID)
         assert rep.max_abs > 0.1
         assert rep.fd_max_deviation <= 1e-4
-        assert rep.metadata["has_impulse_content"] is True
+        assert sol.metadata["has_impulse_content"] is True
 
     def test_both_conventions_fd_agreement(self):
         for conv in Convention:
@@ -399,9 +407,7 @@ class TestResidualHarness:
         assert len(calls["jet"]) == len(rep.points)
 
     def test_family_a_metadata_records_side_condition(self):
-        sol = solve_family_a(5)
-        rep = residual(sol.problem, sol, [(1.0, 1.0)])
-        assert "side_condition" in rep.metadata
+        assert "side_condition" in solve_family_a(5).metadata
 
     def test_maxima_are_nan_whenever_a_point_is_nan(self):
         # at x = 37.5 family C's Horner sums overflow to inf and inf - inf
@@ -517,9 +523,13 @@ class TestTruncationBound:
         (lambda: solve_family_b(M_1PT, 10, Convention.PAPER_LITERAL), (0.5, 1e200)),
         (lambda: solve_family_c(M_1PT, 10), (0.5, 1e200)),
         (lambda: solve_family_d(M_1PT, 10), (0.5, 1e200)),
-    ], ids=["A", "B-derived", "B-paper", "C-derived", "D"])
+        (lambda: solve_family_b(lpoly({0: 3}), 5), (0.5, 1e308)),
+        (lambda: solve_family_d(lpoly({0: 3}), 5), (0.5, 1e308)),
+    ], ids=["A", "B-derived", "B-paper", "C-derived", "D", "B-derived-rounded", "D-rounded"])
     def test_tau_bar_past_float_range_is_inf(self, solve, t_range):
-        # tau_bar = t_lo^-2 for A, t_hi + t_hi^2 / 2 for the others
+        # tau_bar = t_lo^-2 for A, t_hi + t_hi^2 / 2 for the others; 3 t_hi for
+        # M = 3 rounds to inf without an OverflowError, and D, which drops no
+        # term, is inf only through the tau_bar check
         assert truncation_bound(solve(), 2.0, t_range) == math.inf
 
     def test_geometric_tail_stops_at_inf(self):
@@ -564,7 +574,7 @@ class TestProfiles:
     def test_family_a_profile(self):
         sol = solve_family_a(5)
         prof = profile_gexpr(sol, F(1, 2))
-        expected = algebra.zero()
+        expected = GExpr()
         for n in range(6):
             c = F(1, 2) ** n / math.factorial(n) ** 2 * 4 ** n
             expected = expected + algebra.monomial(c, n)
@@ -586,7 +596,7 @@ class TestProfiles:
         prof = profile_gexpr(sol, t0)
         mm = t0 + t0 ** 2 / 2
         f = math.factorial
-        expected = algebra.zero()
+        expected = GExpr()
         for i in range(depth + 1):
             c = sum(mm ** p / (f(i) ** 2 * 2 ** i * f(p - i)) for p in range(i, depth + 1))
             expected = expected + algebra.monomial(c, i)
@@ -653,7 +663,7 @@ def _closed_form_profiles(variant: str, depth: int) -> tuple[GExpr, ...]:
         return tuple(algebra.monomial(F(-1, 2) ** n / f(n) ** 2, n) for n in orders)
     if variant == "B-paper":  # sum_p MM^p sum_{i<=p} x^(2i) / ((i!)^2 2^i (p-i)!)
         return tuple(sum((algebra.monomial(F(1, f(i) ** 2 * 2 ** i * f(p - i)), i)
-                          for i in range(p + 1)), algebra.zero()) for p in orders)
+                          for i in range(p + 1)), GExpr()) for p in orders)
     if variant in ("C-derived", "C-paper"):
         # 1 + sum (sign HH)^n / n! p_n(x), p_n = x^(2n-2) e^(x^2/2) / (2^(n-1) (n-1)!)
         sign = -1 if variant == "C-derived" else 1
@@ -757,5 +767,5 @@ class TestProblem:
         assert pde.solve(family, ratio, 3, Convention.DERIVED).problem.convention is None
 
     def test_describe(self):
-        assert "t^3" in pde.PDEProblem(Family.A).describe()
-        assert "u_t" in pde.PDEProblem(Family.D, M_ONE).describe()
+        assert "t^3" in pde.PDEProblem(Family.A).row.text
+        assert "u_t" in pde.PDEProblem(Family.D, M_ONE).row.text

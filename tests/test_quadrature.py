@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from l2transform import (
-    DivergentIntegralError, QuadratureFailureError,
+    DivergentIntegralError, GExpr, QuadratureFailureError,
     algebra, convolution, convolve_numeric, forward, l2_quadrature, quadrature,
 )
 from l2transform.quadrature import (
@@ -32,7 +32,7 @@ class TestKnownValues:
         assert l2_quadrature(algebra.gaussian("1/2"), 1.0) == pytest.approx(1.0, rel=1e-10)
 
     def test_zero_expression(self):
-        assert l2_quadrature(algebra.zero(), 1.0) == 0.0
+        assert l2_quadrature(GExpr(), 1.0) == 0.0
 
     def test_divergence_at_rate_boundary(self):
         with pytest.raises(DivergentIntegralError):
@@ -107,6 +107,11 @@ class TestTruncation:
         from l2transform.quadrature import _tail_bound
         assert _tail_bound(envelope, x) < TAIL_EPSILON
         assert _tail_bound(envelope, 0.9 * x) >= TAIL_EPSILON
+
+    def test_cutoff_search_gives_up_after_200_doublings(self):
+        # at x = 2^201, beta x^2 is about 4e-95 and the tail 1/(2 beta) about 1e215
+        with pytest.raises(QuadratureFailureError, match="does not fall below TAIL_EPSILON"):
+            truncation_cutoff([(1.0, 0, 4e-216)])
 
     def test_cutoff_matches_full_80_step_bisection(self):
         from l2transform.quadrature import _tail_bound
@@ -209,6 +214,12 @@ class TestRule:
         with pytest.raises(QuadratureFailureError, match=f"within {MAX_SUBINTERVALS} subintervals"):
             integrate_interval(lambda v: 2.0 * math.sin(1 / (2.0 * math.sqrt(1.0 - v)))
                                if v < 1.0 else 0.0, 0.0, 1.0)
+
+    def test_empty_interval_is_zero_without_a_call(self):
+        calls = []
+        for lo, hi in ((1.0, 1.0), (2.0, 1.0)):
+            assert integrate_interval(calls.append, lo, hi) == 0.0
+        assert calls == []
 
     def test_nan_integrand_fails(self):
         for fn in (lambda x: math.nan, lambda x: math.nan if x == 0.5 else 1.0):

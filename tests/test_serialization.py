@@ -184,3 +184,7 @@ class TestRenderJson:
         assert type(doc["terms"]) is list
         for term in doc["terms"]:
             assert type(term) is dict and not any(isinstance(v, tuple) for v in term.values())
+
+    def test_only_expressions_are_documents(self):
+        with pytest.raises(TypeError, match="cannot serialize int"):
+            serialization.object_to_document(3)

@@ -156,6 +156,17 @@ class TestMultiply:
 DEEP_F = GExpr((GTerm(1, 0, F(1, 2)), GTerm(2, 1, F(-1, 3)), GTerm(1, 2, 0)))
 
 
+class TestOperators:
+    def test_empty_sum_is_false(self):
+        assert not tf.SExpr()
+        assert tf.constant(1)
+
+    def test_negation_and_difference(self):
+        assert -tf.pole(1, 0, 1) == tf.pole(-1, 0, 1)
+        assert tf.pole(1, 0, 1) - tf.pole(1, 0, 1) == tf.SExpr()
+        assert tf.pole(1, 0, 1) + tf.constant(2) - tf.constant(2) == tf.pole(1, 0, 1)
+
+
 class TestPower:
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("shift", [0, 1, F(-2, 3)])
