@@ -547,8 +547,9 @@ def truncation_bound(solution: SeriesSolution, x_max: float,
                      t_range: tuple[float, float]) -> float:
     """Upper bound on the dropped series tail sum_{n > depth} |term_n| over
     the box [0, x_max] x [t_lo, t_hi]: the module docstring's majorant with
-    y = x_max^2 and tau_bar = tau.bound(t_lo, t_hi), inf when tau_bar or the
-    prefactor leaves float range.  The box needs 0 <= t_lo <= t_hi and x_max >= 0
+    y = x_max^2 and tau_bar = tau.bound(t_lo, t_hi); 0.0 when every dropped
+    term vanishes on the box, else inf when tau_bar or the prefactor leaves
+    float range.  The box needs 0 <= t_lo <= t_hi and x_max >= 0
     (t_lo > 0 for tau = t^-2)."""
     t_lo, t_hi, x_max = float(t_range[0]), float(t_range[1]), float(x_max)
     if not (0 <= t_lo <= t_hi and x_max >= 0):
@@ -560,17 +561,17 @@ def truncation_bound(solution: SeriesSolution, x_max: float,
     try:
         tau_bar = problem.tau.bound(t_lo, t_hi)
     except OverflowError:
-        return math.inf
-    if tau_bar == math.inf:
-        return math.inf
+        tau_bar = math.inf
     y, n = x_max * x_max, solution.depth + 1
-    if problem.folded:
+    if problem.folded:  # its x = 0 tail is not zero
+        if tau_bar == math.inf:
+            return math.inf
         r = tau_bar * (k1 * y + kappa)
         return _geometric_tail(2 * c0, lambda q: r / (q + 1), 0, n)
     if not (k1 and tau_bar and y):
-        return 0.0  # every dropped term vanishes on the box
+        return 0.0  # every dropped term vanishes on the box, whatever tau_bar
     exponent = kappa * tau_bar + max(p, 0) * y
-    if not exponent <= _LOG_FLOAT_MAX:  # past float range, or 0 * inf
+    if not exponent <= _LOG_FLOAT_MAX:  # past float range, tau_bar = inf, or 0 * inf
         return math.inf
     r = k1 * tau_bar * y
     first = math.exp(exponent) * 2 * c0 * k1 * tau_bar * y ** m0 / math.factorial(m0)

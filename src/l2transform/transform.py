@@ -13,7 +13,8 @@ each pole off the product of the factors' truncated Laurent series there.
 Each series is kept as integer numerators over one common denominator, so
 the series products are integer arithmetic and each emitted coefficient is
 a single Fraction (the common-denominator technique of Knuth, TAOCP vol. 2,
-4.5.1).
+4.5.1).  A power raises its base's series by the power recurrence (ibid.,
+4.7), O(L**2) per pole for a series of length L instead of n - 1 products.
 
 Terms are validated tuples, and the public constructors canonicalize
 whatever they are given.  `SExpr._trusted` and `GExpr._trusted` skip both
@@ -214,10 +215,25 @@ def _truncated_product(left: tuple[list[int], int],
     return out, p_den * q_den
 
 
+def _series_power(series: tuple[list[int], int], e: int) -> tuple[list[int], int]:
+    """The e-th power of a power series given as (integer numerators V,
+    denominator), to as many terms, by the power recurrence (Knuth, TAOCP
+    vol. 2, 4.7): W_0 = V_0**e and k V_0 W_k = sum_(j=1..k) ((e+1) j - k)
+    V_j W_(k-j).  W is V**e as an integer polynomial, so every division is
+    exact, and L terms cost O(L**2) whatever e.  Needs V_0 != 0."""
+    v, den = series
+    w = [v[0] ** e]
+    for k in range(1, len(v)):
+        w.append(sum([((e + 1) * j - k) * v[j] * w[k - j] for j in range(1, k + 1) if v[j]])
+                 // (k * v[0]))
+    return w, den ** e
+
+
 def _product(factors: list[SExpr], exponent: int = 1) -> SExpr:
     """Exact product of transform-domain expressions in canonical form,
-    raised to `exponent` (a power passes its base once, so that base's
-    series at each pole is computed once).
+    raised to `exponent`.  A power passes its base alone: its series at each
+    of its poles starts with its top term's nonzero coefficient, so
+    :func:`_series_power` raises it in O(L**2), not exponent - 1 products.
 
     At each pole a of total order N (the sum of the factors' highest
     multiplicities M there), (sigma - a)**N times the product is the product
@@ -239,7 +255,8 @@ def _product(factors: list[SExpr], exponent: int = 1) -> SExpr:
         if const and a >= 0:
             out.append((const, Fraction(0), 0))
             const = 0
-        series, den = reduce(_truncated_product, [_laurent_factor(s, a, n) for s in factors] * exponent)
+        series = reduce(_truncated_product, [_laurent_factor(s, a, n) for s in factors])
+        series, den = _series_power(series, exponent) if exponent > 1 else series
         out.extend((Fraction(series[j], den), a, n - j) for j in reversed(range(n)) if series[j])
     if const:
         out.append((const, Fraction(0), 0))

@@ -86,13 +86,6 @@ def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def poly_scale(p: list[Fraction], c: Fraction) -> list[Fraction]:
-    out = [x * c for x in p]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def poly_pow(p: list[Fraction], n: int) -> list[Fraction]:
     out = [Fraction(1)]
     for _ in range(n):
@@ -106,13 +99,24 @@ def linear_factor(a: Fraction) -> list[Fraction]:
 
 
 def sexpr_as_rational(s: SExpr) -> tuple[list[Fraction], list[Fraction]]:
-    """(numerator, denominator) of an SExpr as one unreduced rational
-    function in sigma, built by plain fraction addition."""
-    num, den = [Fraction(0)], [Fraction(1)]
+    """(numerator, denominator) of an SExpr as one rational function in
+    sigma over prod (sigma - a)**M, M the highest multiplicity at a: the
+    terms at a sum by Horner's rule in sigma - a, times the other poles'
+    factors.  (Plain fraction addition term by term gives the same function
+    over a denominator of degree sum m, too slow for high powers.)"""
+    coeffs: dict[Fraction, dict[int, Fraction]] = {}
     for t in s.terms:
-        t_den = poly_pow(linear_factor(t.a), t.m)
-        num = poly_add(poly_mul(num, t_den), poly_scale(den, t.c))
-        den = poly_mul(den, t_den)
+        coeffs.setdefault(t.a, {})[t.m] = t.c
+    factors = {a: poly_pow(linear_factor(a), max(at)) for a, at in coeffs.items()}
+    num, den = [Fraction(0)], [Fraction(1)]
+    for a, at in coeffs.items():
+        local = [Fraction(0)]
+        for m in range(max(at) + 1):
+            local = poly_add(poly_mul(local, linear_factor(a)), [at.get(m, Fraction(0))])
+        for b, factor in factors.items():
+            if b != a:
+                local = poly_mul(local, factor)
+        num, den = poly_add(num, local), poly_mul(den, factors[a])
     return num, den
 
 

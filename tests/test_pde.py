@@ -522,15 +522,22 @@ class TestTruncationBound:
         (lambda: solve_family_b(M_1PT, 10), (0.5, 1e200)),
         (lambda: solve_family_b(M_1PT, 10, Convention.PAPER_LITERAL), (0.5, 1e200)),
         (lambda: solve_family_c(M_1PT, 10), (0.5, 1e200)),
-        (lambda: solve_family_d(M_1PT, 10), (0.5, 1e200)),
         (lambda: solve_family_b(lpoly({0: 3}), 5), (0.5, 1e308)),
-        (lambda: solve_family_d(lpoly({0: 3}), 5), (0.5, 1e308)),
-    ], ids=["A", "B-derived", "B-paper", "C-derived", "D", "B-derived-rounded", "D-rounded"])
+    ], ids=["A", "B-derived", "B-paper", "C-derived", "B-derived-rounded"])
     def test_tau_bar_past_float_range_is_inf(self, solve, t_range):
         # tau_bar = t_lo^-2 for A, t_hi + t_hi^2 / 2 for the others; 3 t_hi for
-        # M = 3 rounds to inf without an OverflowError, and D, which drops no
-        # term, is inf only through the tau_bar check
+        # M = 3 rounds to inf without an OverflowError
         assert truncation_bound(solve(), 2.0, t_range) == math.inf
+
+    @pytest.mark.parametrize("solve, x_max, t_range", [
+        (lambda: solve_family_d(M_1PT, 10), 2.0, (0.5, 1e200)),
+        (lambda: solve_family_d(lpoly({0: 3}), 5), 2.0, (0.5, 1e308)),
+        (lambda: solve_family_b(M_1PT, 10), 0.0, (0.5, 1e200)),
+    ], ids=["D", "D-rounded", "B-derived-at-x-zero"])
+    def test_vanishing_tail_is_zero_past_float_range(self, solve, x_max, t_range):
+        # D drops no term (k1 = 0), and at x_max = 0 every dropped term of an
+        # unfolded row is zero, so tau_bar past float range does not matter
+        assert truncation_bound(solve(), x_max, t_range) == 0.0
 
     def test_geometric_tail_stops_at_inf(self):
         # the folded row's ratio r / (q + 1) with r = inf, as for x_max^2 = inf

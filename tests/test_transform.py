@@ -8,7 +8,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l2transform import (
@@ -168,7 +168,7 @@ class TestOperators:
 
 
 class TestPower:
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", [*range(2, 7), 12, 16])
     @pytest.mark.parametrize("shift", [0, 1, F(-2, 3)])
     def test_multi_pole_powers_match_the_oracle(self, n, shift):
         s = forward(DEEP_F) + tf.constant(shift)
@@ -219,13 +219,31 @@ def test_power_is_repeated_multiplication_property(s, n):
     assert tf.power(s, n) == tf.multiply(tf.power(s, n - 1), s)
 
 
-@given(sexpr_strategy, st.integers(min_value=1, max_value=6))
+@given(st.builds(tf.SExpr, st.lists(st.builds(
+    tf.STerm,
+    c=st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    a=st.fractions(min_value=-2, max_value=2, max_denominator=7),
+    m=st.integers(min_value=0, max_value=3),
+), max_size=4).map(tuple)), st.integers(min_value=1, max_value=16))
 @settings(max_examples=100, deadline=None)
 def test_power_is_a_left_fold_of_multiply_property(s, n):
-    # power passes its base to _product once; multiply builds each product
-    # from two separate factors
+    # power raises its base's series by the power recurrence; multiply builds
+    # each product from two separate factors, by the exponent-1 path
     got, folded = tf.power(s, n), functools.reduce(tf.multiply, [s] * n)
     assert got == folded
+
+
+@given(st.integers(min_value=-40, max_value=40).filter(bool),
+       st.lists(st.sampled_from([0, 0, 1, -1, 7, -12, 30]) | st.integers(-10**6, 10**6),
+                max_size=14),
+       st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=20))
+@example(-3, [0, 5, 0, 0, -2], 6, 20)
+@example(5, [0, 0, 1], 1, 2)
+@settings(max_examples=200, deadline=None)
+def test_series_power_is_a_fold_of_truncated_products_property(v0, rest, den, e):
+    # the slow path it replaced: e - 1 truncated products of the same series
+    series = ([v0, *rest], den)
+    assert tf._series_power(series, e) == functools.reduce(tf._truncated_product, [series] * e)
 
 
 def _assert_canonical(r):
