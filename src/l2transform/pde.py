@@ -360,8 +360,11 @@ class SeriesSolution:
 
     def _value_at(self, t: float) -> Callable[[float], float]:
         """x -> u at time t: the u of `at(t)` by the same float operations,
-        without the derivatives (y^0 * p == p in `_horner_jet`)."""
+        without the derivatives (y^0 * p == p in `_horner_jet`).  tau'(t) is
+        still evaluated, so that this fails where `at(t)` does: t**-3 leaves
+        float range before t**-2 does."""
         tau = self.problem.tau.value(t)
+        self.problem.tau.derivative(t)
         collapsed = self._table.collapse(tau)
         if self.prefactor:
             p = math.exp(-self.prefactor * tau)

@@ -13,8 +13,13 @@ each pole off the product of the factors' truncated Laurent series there.
 Each series is kept as integer numerators over one common denominator, so
 the series products are integer arithmetic and each emitted coefficient is
 a single Fraction (the common-denominator technique of Knuth, TAOCP vol. 2,
-4.5.1).  A power raises its base's series by the power recurrence (ibid.,
-4.7), O(L**2) per pole for a series of length L instead of n - 1 products.
+4.5.1).  A one-term factor c (sigma - b)**(-m) needs no series: at any
+other pole a, with a - b = p/q, it enters as the scalar c q**m and the
+factor (q u + p)**m of one integer denominator polynomial, and each pole
+ends with one truncated series division by that polynomial (Kung and Tong,
+1977).  A power raises its base's series by the power recurrence (Knuth,
+ibid., 4.7), O(L**2) per pole for a series of length L instead of n - 1
+products.
 
 Terms are validated tuples, and the public constructors canonicalize
 whatever they are given.  `SExpr._trusted` and `GExpr._trusted` skip both
@@ -124,7 +129,8 @@ def forward(e: GExpr) -> SExpr:
     Term rule: c x**(2k) e^(a x^2)  ->  c * k!/2 * (sigma - a)**-(k+1).
     The result is valid on sigma > max a.
     """
-    return SExpr._trusted((t.c * math.factorial(t.k) / 2, t.a, t.k + 1) for t in e.terms)
+    return SExpr._trusted((Fraction(c.numerator * math.factorial(k), 2 * c.denominator), a, k + 1)
+                          for c, k, a in e.terms)
 
 
 def inverse(s: SExpr) -> GExpr:
@@ -138,7 +144,9 @@ def inverse(s: SExpr) -> GExpr:
         raise ImpulseContentError(
             f"sigma-constant content {bad[0].c} has no function-valued inverse"
         )
-    return GExpr._trusted((2 * t.c / math.factorial(t.m - 1), t.m - 1, t.a) for t in s.terms)
+    return GExpr._trusted(
+        (Fraction(2 * c.numerator, c.denominator * math.factorial(m - 1)), m - 1, a)
+        for c, a, m in s.terms)
 
 
 def delta_s(s: SExpr) -> SExpr:
@@ -166,11 +174,14 @@ def mul_sigma(s: SExpr) -> SExpr:
     return SExpr(tuple(out))
 
 
-def _laurent_factor(s: SExpr, a: Fraction, n: int) -> tuple[list[int], int]:
+def _laurent_series(terms: list[tuple[int, int, int, int, int]], an: int, ad: int,
+                    n: int) -> tuple[list[int], int]:
     """Taylor coefficients, up to u**(n-1), of u**shift * s(a + u), where
-    shift is s's highest multiplicity at a (0 if a is not a pole of s), as
-    integer numerators over one positive common denominator: (numerators,
-    denominator).  n is at least shift.
+    a = an/ad and shift is s's highest multiplicity at a (0 if a is not a
+    pole of s), as integer numerators over one positive common denominator:
+    (numerators, denominator).  s is given by its terms read as integers,
+    (c numerator, c denominator, b numerator, b denominator, m) for
+    c (sigma - b)**(-m); n is at least shift.
 
     Terms at a and sigma-constants shift into place; c (sigma - b)**(-m) is
     c (u + d)**(-m) with d = a - b = p/q.  Writing 1/d = g/f with f = |p| > 0,
@@ -178,20 +189,23 @@ def _laurent_factor(s: SExpr, a: Fraction, n: int) -> tuple[list[int], int]:
     them sits over c's denominator times f**(m + n - shift - 1).
     """
     near, far = [], []
-    for t in s.terms:
-        (far if t.m and t.a != a else near).append(t)
-    shift = max((t.m for t in near), default=0)
+    for cn, cd, bn, bd, m in terms:
+        p = an * bd - bn * ad
+        if m and p:
+            far.append((cn, cd, p, ad * bd, m))
+        else:
+            near.append((cn, cd, m))
+    shift = max([m for _, _, m in near], default=0)
     # (denominator, index of the first coefficient, numerators)
-    parts = [(t.c.denominator, shift - t.m, [t.c.numerator]) for t in near if shift - t.m < n]
+    parts = [(cd, shift - m, [cn]) for cn, cd, m in near if shift - m < n]
     length = n - shift
-    for t in far:
-        d = a - t.a
-        f, g = abs(d.numerator), d.denominator if d.numerator > 0 else -d.denominator
-        num, nums = t.c.numerator * g ** t.m, []
+    for cn, cd, p, q, m in far:
+        f, g = abs(p), q if p > 0 else -q
+        num, nums = cn * g ** m, []
         for j in range(length):
-            nums.append(num * math.comb(t.m + j - 1, j) * f ** (length - 1 - j))
+            nums.append(num * math.comb(m + j - 1, j) * f ** (length - 1 - j))
             num *= -g
-        parts.append((t.c.denominator * f ** (t.m + length - 1), shift, nums))
+        parts.append((cd * f ** (m + length - 1), shift, nums))
     den = math.lcm(*(part[0] for part in parts))
     series = [0] * n
     for part_den, start, nums in parts:
@@ -229,20 +243,38 @@ def _series_power(series: tuple[list[int], int], e: int) -> tuple[list[int], int
     return w, den ** e
 
 
+def _series_quotient(series: list[int], poly: list[int]) -> tuple[list[int], int]:
+    """series / poly for integer power series with poly[0] != 0, to
+    len(series) = L terms, as integer numerators T over poly[0]**L: each
+    quotient coefficient k sits over poly[0]**(k+1), so T_k is an integer and
+    poly[0] T_k = series_k poly[0]**L - sum_(j=1..k) poly_j T_(k-j) divides
+    exactly."""
+    top = poly[0] ** len(series)
+    out = []
+    for k, s in enumerate(series):
+        out.append((s * top - sum([x * y for x, y in zip(poly[1:k + 1], reversed(out))]))
+                   // poly[0])
+    return out, top
+
+
 def _product(factors: list[SExpr], exponent: int = 1) -> SExpr:
     """Exact product of transform-domain expressions in canonical form,
-    raised to `exponent`.  A power passes its base alone: its series at each
-    of its poles starts with its top term's nonzero coefficient, so
-    :func:`_series_power` raises it in O(L**2), not exponent - 1 products.
+    raised to `exponent`.
 
     At each pole a of total order N (the sum of the factors' highest
     multiplicities M there), (sigma - a)**N times the product is the product
     of the factors' series u**M s(a + u), u = sigma - a: its coefficient j is
-    that of (sigma - a)**(-(N - j)).  Each series is integer numerators over
-    one denominator, so the product is integer arithmetic and every emitted
-    coefficient is one Fraction.  Constants multiply as they are.  Terms are
-    emitted in canonical order, poles ascending and m ascending within each,
-    the constant in its (0, 0) slot.
+    that of (sigma - a)**(-(N - j)).  A one-term factor c (sigma - b)**(-m),
+    raised to the exponent, is the scalar c at its own pole and
+    c q**m / (q u + p)**m at any other, a - b = p/q.  The other factors'
+    Laurent series multiply, and a power raises their product by
+    :func:`_series_power`: a power passes its base alone, whose series at
+    each of its poles starts with its top term's nonzero coefficient (of
+    several factors raised together, one may vanish at another's pole, and
+    the recurrence then divides by zero).  All of it is integer arithmetic,
+    and every emitted coefficient is one Fraction.  Constants multiply as
+    they are.  Terms are emitted in canonical order, poles ascending and m
+    ascending within each, the constant in its (0, 0) slot.
     """
     total: Counter[Fraction] = Counter()
     for s in factors:
@@ -250,14 +282,49 @@ def _product(factors: list[SExpr], exponent: int = 1) -> SExpr:
         total.update({t.a: exponent * t.m for t in s.terms if t.m})
     const = math.prod([next((t.c for t in s.terms if t.m == 0), 0) for s in factors] * exponent,
                       start=Fraction(1))
+    # one-term factors enter raised to the exponent: their coefficients
+    # multiply into one scalar, and their poles are kept as (b, m e)
+    c_num = c_den = 1
+    ones, several = [], []
+    for s in factors:
+        if len(s.terms) == 1:
+            ((c, b, m),) = s.terms
+            c_num, c_den = c_num * c.numerator ** exponent, c_den * c.denominator ** exponent
+            if m:
+                ones.append((b.numerator, b.denominator, m * exponent))
+        else:
+            several.append([(c.numerator, c.denominator, b.numerator, b.denominator, m)
+                            for c, b, m in s.terms])
     out = []
     for a, n in sorted(total.items()):
-        if const and a >= 0:
+        an, ad = a.numerator, a.denominator
+        if const and an >= 0:
             out.append((const, Fraction(0), 0))
             const = 0
-        series = reduce(_truncated_product, [_laurent_factor(s, a, n) for s in factors])
-        series, den = _series_power(series, exponent) if exponent > 1 else series
-        out.extend((Fraction(series[j], den), a, n - j) for j in reversed(range(n)) if series[j])
+        num, den, poly = c_num, c_den, [1]
+        for bn, bd, m in ones:
+            p = an * bd - bn * ad
+            if p:
+                q = ad * bd
+                num *= q ** m
+                for _ in range(m):  # poly *= q u + p, to n terms
+                    if len(poly) < n:
+                        poly.append(0)
+                    for i in range(len(poly) - 1, 0, -1):
+                        poly[i] = poly[i] * p + poly[i - 1] * q
+                    poly[0] *= p
+        series = [1] + [0] * (n - 1)
+        if several:
+            series, s_den = reduce(_truncated_product,
+                                   [_laurent_series(terms, an, ad, n) for terms in several])
+            if exponent > 1:
+                series, s_den = _series_power((series, s_den), exponent)
+            den *= s_den
+        if poly != [1]:
+            series, top = _series_quotient(series, poly)
+            den *= top
+        out.extend((Fraction(num * series[j], den), a, n - j)
+                   for j in reversed(range(n)) if series[j])
     if const:
         out.append((const, Fraction(0), 0))
     return SExpr._trusted(out)

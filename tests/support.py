@@ -2,8 +2,10 @@
 independent dense-polynomial oracle for recombining partial fractions,
 float evaluators used only as oracles, a slow finite-difference reference
 for the residual harness, the slow transform-domain route to the section-6
-profiles with an eager total-order fold, and the environment for CLI
-subprocesses.
+profiles with an eager total-order fold, the environment for CLI
+subprocesses, and the reference for transform-domain products: every
+factor's Laurent series in Fraction arithmetic, multiplied and raised by
+the package's own integer series product and power recurrence.
 
 The polynomial helpers deliberately know nothing about the package's
 transform module; they manipulate plain coefficient lists of Fractions so
@@ -15,7 +17,9 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import l2transform
@@ -146,6 +150,68 @@ def recombines_to_one(s: SExpr, factors: list[tuple[Fraction, int]]) -> bool:
     for a, m in factors:
         common = poly_mul(common, poly_pow(linear_factor(Fraction(a)), m))
     return poly_mul(num, common) == den
+
+
+# --- the product path before one-term factors became a denominator polynomial
+
+
+def laurent_factor(s: SExpr, a: Fraction, n: int) -> tuple[list[int], int]:
+    """Taylor coefficients, up to u**(n-1), of u**shift * s(a + u), where
+    shift is s's highest multiplicity at a (0 if a is not a pole of s), as
+    integer numerators over one positive common denominator: (numerators,
+    denominator).  n is at least shift.  Each term's offset a - b is
+    computed, compared and split as a Fraction.
+
+    Terms at a and sigma-constants shift into place; c (sigma - b)**(-m) is
+    c (u + d)**(-m) with d = a - b = p/q.  Writing 1/d = g/f with f = |p| > 0,
+    its coefficient j is c (g/f)**m C(m+j-1, j) (-g/f)**j, so every one of
+    them sits over c's denominator times f**(m + n - shift - 1).
+    """
+    near, far = [], []
+    for t in s.terms:
+        (far if t.m and t.a != a else near).append(t)
+    shift = max((t.m for t in near), default=0)
+    # (denominator, index of the first coefficient, numerators)
+    parts = [(t.c.denominator, shift - t.m, [t.c.numerator]) for t in near if shift - t.m < n]
+    length = n - shift
+    for t in far:
+        d = a - t.a
+        f, g = abs(d.numerator), d.denominator if d.numerator > 0 else -d.denominator
+        num, nums = t.c.numerator * g ** t.m, []
+        for j in range(length):
+            nums.append(num * math.comb(t.m + j - 1, j) * f ** (length - 1 - j))
+            num *= -g
+        parts.append((t.c.denominator * f ** (t.m + length - 1), shift, nums))
+    den = math.lcm(*(part[0] for part in parts))
+    series = [0] * n
+    for part_den, start, nums in parts:
+        scale = den // part_den
+        for k, num in enumerate(nums, start):
+            series[k] += num * scale
+    return series, den
+
+
+def reference_product(factors: list[SExpr], exponent: int = 1) -> SExpr:
+    """The product by one route for every factor: each factor's Laurent
+    series at each pole by :func:`laurent_factor`, in Fraction arithmetic,
+    their truncated product, raised to the exponent by the power recurrence;
+    terms emitted in canonical order like the package's `_product`."""
+    total: Counter[Fraction] = Counter()
+    for s in factors:
+        total.update({t.a: exponent * t.m for t in s.terms if t.m})
+    const = math.prod([next((t.c for t in s.terms if t.m == 0), 0) for s in factors] * exponent,
+                      start=Fraction(1))
+    out = []
+    for a, n in sorted(total.items()):
+        if const and a >= 0:
+            out.append((const, Fraction(0), 0))
+            const = 0
+        series = reduce(tf._truncated_product, [laurent_factor(s, a, n) for s in factors])
+        series, den = tf._series_power(series, exponent) if exponent > 1 else series
+        out.extend((Fraction(series[j], den), a, n - j) for j in reversed(range(n)) if series[j])
+    if const:
+        out.append((const, Fraction(0), 0))
+    return SExpr._trusted(out)
 
 
 def direct_term_sum(terms, x: float) -> float:

@@ -19,6 +19,7 @@ from l2transform import transform as tf
 
 from support import (
     equals_product, evaluate_at, rand_fraction, rand_gexpr, rational_equal, recombines_to_one,
+    reference_product,
 )
 
 
@@ -139,6 +140,13 @@ class TestMultiply:
         s = tf.pole(3, F(1, 2), 2)
         assert tf.constant(F(2, 3)) * s == tf.pole(2, F(1, 2), 2)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_term_factor_against_a_sum_sharing_its_pole(self, m):
+        one = tf.pole(F(-3, 7), F(1, 2), m)
+        several = tf.pole(2, F(1, 2), 2) + tf.pole(F(5, 3), F(-1, 59), 1) + tf.constant(F(1, 4))
+        for got in (one * several, several * one):
+            assert equals_product(got, [one, several])
+
     def test_random_products_recombine(self):
         rng = random.Random(44)
         for _ in range(40):
@@ -246,6 +254,57 @@ def test_series_power_is_a_fold_of_truncated_products_property(v0, rest, den, e)
     assert tf._series_power(series, e) == functools.reduce(tf._truncated_product, [series] * e)
 
 
+# one to four distinct poles with denominators up to 60, for drawing factors
+# that share poles
+pole_pools = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=60),
+                      min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def mixed_factors(draw):
+    """One to three factors on one pool of poles: single terms and sums of
+    several, sigma-constants included."""
+    term = st.builds(tf.STerm, c=st.fractions(min_value=-3, max_value=3, max_denominator=60),
+                     a=st.sampled_from(draw(pole_pools)), m=st.integers(min_value=0, max_value=3))
+    factor = st.lists(term, min_size=1, max_size=1) | st.lists(term, min_size=2, max_size=4)
+    return draw(st.lists(factor.map(lambda terms: tf.SExpr(tuple(terms))), min_size=1, max_size=3))
+
+
+# several factors raised together to small exponents, or one base, the
+# shape `power` passes, to exponents up to 20: a pole's series is as long as
+# the factors' multiplicities there times the exponent, and costs its square
+@given(st.tuples(mixed_factors(), st.integers(min_value=1, max_value=3))
+       | st.tuples(mixed_factors().map(lambda factors: factors[:1]),
+                   st.integers(min_value=1, max_value=20)))
+@example(([tf.pole(F(3, 7), F(1, 2), 2),
+           tf.pole(1, F(1, 2), 1) + tf.pole(-2, F(1, 59), 3) + tf.constant(5)], 1))
+@example(([tf.pole(1, 1, 1) + tf.pole(1, -1, 1), tf.pole(1, 0, 2)], 2))  # 0 at the pole 0
+@settings(max_examples=200, deadline=None)
+def test_product_matches_the_fraction_reference_property(product):
+    factors, e = product
+    # the Fraction path it replaced: every factor's Laurent series, one-term
+    # factors included, multiplied, then raised by the power recurrence
+    try:
+        expected = reference_product(factors, e)
+    except ZeroDivisionError:
+        # the power recurrence needs a nonzero leading coefficient, and a
+        # factor with no pole at a may vanish there; both paths refuse alike
+        with pytest.raises(ZeroDivisionError):
+            tf._product(factors, e)
+        return
+    assert tf._product(factors, e) == expected
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_partial_fractions_match_the_fraction_reference_property(data):
+    pool = data.draw(pole_pools)
+    factors = data.draw(st.lists(st.tuples(st.sampled_from(pool),
+                                           st.integers(min_value=1, max_value=20)), max_size=5))
+    expected = reference_product([tf.pole(1, a, m) for a, m in factors])
+    assert partial_fractions(factors) == expected
+
+
 def _assert_canonical(r):
     """r is a fixed point of its public constructor, in the same term order,
     and every rational field is a Fraction."""
@@ -288,6 +347,10 @@ def _as_rational(s):
     return sexpr_as_rational(s)
 
 
+LADDER_POOL = [F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(1, 3), F(-2, 3),
+               F(3, 2), F(-3, 4), F(5, 4), F(-5, 3)]
+
+
 class TestPartialFractions:
     def test_partial_fractions_refuse_a_float_pole(self):
         with pytest.raises(TypeError):
@@ -316,6 +379,23 @@ class TestPartialFractions:
 
     def test_duplicate_factors_group(self):
         assert partial_fractions([(0, 1), (0, 2)]) == tf.pole(1, 0, 3)
+
+    @pytest.mark.parametrize("total", range(6, 19))
+    def test_six_pole_ladder_recombines(self, total):
+        # six poles from a fixed pool, multiplicities at most 3 adding up to
+        # total: the partial-fraction shapes of perfbench's exact-deep
+        rng = random.Random(total)
+        mults = [1 + (i < total - 6) + (i < total - 12) for i in range(6)]
+        factors = list(zip(rng.sample(LADDER_POOL, 6), rng.sample(mults, 6)))
+        assert recombines_to_one(partial_fractions(factors), factors)
+
+    @pytest.mark.parametrize("factors", [
+        [(F(1, 2), 8), (F(-1), 1), (F(1, 3), 2)],
+        [(F(1, 59), 2), (F(-1, 61), 3)],
+        [(F(1, 59), 1), (F(-1, 61), 2), (F(1, 60), 3), (F(-1, 59), 1)],
+    ], ids=["multiplicity-8", "difference-over-3599", "four-near-poles"])
+    def test_high_order_and_close_poles_recombine(self, factors):
+        assert recombines_to_one(partial_fractions(factors), factors)
 
     def test_random_recombination(self):
         rng = random.Random(45)
