@@ -335,8 +335,14 @@ class SeriesSolution:
         y-coefficient pairs (c, d) of S and S_tau, with P = exp(-k tau) folded
         in as (P c, P (d - k c)); Horner with derivative in y gives
         S_y = e^(a y) (a p + p') per rate a, then u_x = 2 x S_y and
-        u_t = tau'(t) S_tau."""
-        tau, tau_t = self.problem.tau.value(t), self.problem.tau.derivative(t)
+        u_t = tau'(t) S_tau.  Where evaluating tau'(t) raises OverflowError
+        and tau(t) does not (t**-3 leaves float range before t**-2), u and
+        u_x are still given and u_t and u_xt are NaN."""
+        tau = self.problem.tau.value(t)
+        try:
+            tau_t = self.problem.tau.derivative(t)
+        except OverflowError:
+            tau_t = math.nan
         collapsed = self._table.collapse_jet(tau)
         if self.prefactor:
             k = self.prefactor
@@ -360,11 +366,8 @@ class SeriesSolution:
 
     def _value_at(self, t: float) -> Callable[[float], float]:
         """x -> u at time t: the u of `at(t)` by the same float operations,
-        without the derivatives (y^0 * p == p in `_horner_jet`).  tau'(t) is
-        still evaluated, so that this fails where `at(t)` does: t**-3 leaves
-        float range before t**-2 does."""
+        without the derivatives (y^0 * p == p in `_horner_jet`)."""
         tau = self.problem.tau.value(t)
-        self.problem.tau.derivative(t)
         collapsed = self._table.collapse(tau)
         if self.prefactor:
             p = math.exp(-self.prefactor * tau)

@@ -13,13 +13,11 @@ each pole off the product of the factors' truncated Laurent series there.
 Each series is kept as integer numerators over one common denominator, so
 the series products are integer arithmetic and each emitted coefficient is
 a single Fraction (the common-denominator technique of Knuth, TAOCP vol. 2,
-4.5.1).  A one-term factor c (sigma - b)**(-m) needs no series: at any
-other pole a, with a - b = p/q, it enters as the scalar c q**m and the
-factor (q u + p)**m of one integer denominator polynomial, and each pole
-ends with one truncated series division by that polynomial (Kung and Tong,
-1977).  A power raises its base's series by the power recurrence (Knuth,
-ibid., 4.7), O(L**2) per pole for a series of length L instead of n - 1
-products.
+4.5.1).  Every term, one-term factors' included, is read once as integers,
+and its offset from a pole is an integer cross-multiplication, so no
+Fraction is built or compared at a pole.  A power raises its base's series
+by the power recurrence (ibid., 4.7), O(L**2) per pole for a series of
+length L instead of n - 1 products.
 
 Terms are validated tuples, and the public constructors canonicalize
 whatever they are given.  `SExpr._trusted` and `GExpr._trusted` skip both
@@ -184,29 +182,35 @@ def _laurent_series(terms: list[tuple[int, int, int, int, int]], an: int, ad: in
     c (sigma - b)**(-m); n is at least shift.
 
     Terms at a and sigma-constants shift into place; c (sigma - b)**(-m) is
-    c (u + d)**(-m) with d = a - b = p/q.  Writing 1/d = g/f with f = |p| > 0,
-    its coefficient j is c (g/f)**m C(m+j-1, j) (-g/f)**j, so every one of
-    them sits over c's denominator times f**(m + n - shift - 1).
+    c (u + d)**(-m) with d = a - b = p/q in lowest terms.  Writing
+    1/d = g/f with f = |p| > 0, its coefficient j is
+    c (g/f)**m C(m+j-1, j) (-g/f)**j, so every one of them sits over c's
+    denominator times f**(m + n - shift - 1).
     """
-    near, far = [], []
+    near, far, shift = [], [], 0
     for cn, cd, bn, bd, m in terms:
         p = an * bd - bn * ad
         if m and p:
-            far.append((cn, cd, p, ad * bd, m))
+            q = ad * bd
+            g = math.gcd(p, q)
+            far.append((cn, cd, p // g, q // g, m))
         else:
             near.append((cn, cd, m))
-    shift = max([m for _, _, m in near], default=0)
+            shift = max(shift, m)
     # (denominator, index of the first coefficient, numerators)
     parts = [(cd, shift - m, [cn]) for cn, cd, m in near if shift - m < n]
     length = n - shift
     for cn, cd, p, q, m in far:
-        f, g = abs(p), q if p > 0 else -q
+        f, g = (p, q) if p > 0 else (-p, -q)
         num, nums = cn * g ** m, []
         for j in range(length):
             nums.append(num * math.comb(m + j - 1, j) * f ** (length - 1 - j))
             num *= -g
         parts.append((cd * f ** (m + length - 1), shift, nums))
-    den = math.lcm(*(part[0] for part in parts))
+    if len(parts) == 1:  # a one-term factor
+        den, start, nums = parts[0]
+        return [0] * start + nums + [0] * (n - start - len(nums)), den
+    den = math.lcm(*[part[0] for part in parts])
     series = [0] * n
     for part_den, start, nums in parts:
         scale = den // part_den
@@ -243,38 +247,21 @@ def _series_power(series: tuple[list[int], int], e: int) -> tuple[list[int], int
     return w, den ** e
 
 
-def _series_quotient(series: list[int], poly: list[int]) -> tuple[list[int], int]:
-    """series / poly for integer power series with poly[0] != 0, to
-    len(series) = L terms, as integer numerators T over poly[0]**L: each
-    quotient coefficient k sits over poly[0]**(k+1), so T_k is an integer and
-    poly[0] T_k = series_k poly[0]**L - sum_(j=1..k) poly_j T_(k-j) divides
-    exactly."""
-    top = poly[0] ** len(series)
-    out = []
-    for k, s in enumerate(series):
-        out.append((s * top - sum([x * y for x, y in zip(poly[1:k + 1], reversed(out))]))
-                   // poly[0])
-    return out, top
-
-
 def _product(factors: list[SExpr], exponent: int = 1) -> SExpr:
     """Exact product of transform-domain expressions in canonical form,
-    raised to `exponent`.
+    raised to `exponent`.  A power passes its base alone: its series at each
+    of its poles starts with its top term's nonzero coefficient, so
+    :func:`_series_power` raises it in O(L**2), not exponent - 1 products.
 
     At each pole a of total order N (the sum of the factors' highest
     multiplicities M there), (sigma - a)**N times the product is the product
     of the factors' series u**M s(a + u), u = sigma - a: its coefficient j is
-    that of (sigma - a)**(-(N - j)).  A one-term factor c (sigma - b)**(-m),
-    raised to the exponent, is the scalar c at its own pole and
-    c q**m / (q u + p)**m at any other, a - b = p/q.  The other factors'
-    Laurent series multiply, and a power raises their product by
-    :func:`_series_power`: a power passes its base alone, whose series at
-    each of its poles starts with its top term's nonzero coefficient (of
-    several factors raised together, one may vanish at another's pole, and
-    the recurrence then divides by zero).  All of it is integer arithmetic,
-    and every emitted coefficient is one Fraction.  Constants multiply as
-    they are.  Terms are emitted in canonical order, poles ascending and m
-    ascending within each, the constant in its (0, 0) slot.
+    that of (sigma - a)**(-(N - j)).  Every term is read once as integers,
+    and each series is integer numerators over one denominator, so all the
+    arithmetic at a pole is on integers and every emitted coefficient is one
+    Fraction.  Constants multiply as they are.  Terms are emitted in
+    canonical order, poles ascending and m ascending within each, the
+    constant in its (0, 0) slot.
     """
     total: Counter[Fraction] = Counter()
     for s in factors:
@@ -282,49 +269,17 @@ def _product(factors: list[SExpr], exponent: int = 1) -> SExpr:
         total.update({t.a: exponent * t.m for t in s.terms if t.m})
     const = math.prod([next((t.c for t in s.terms if t.m == 0), 0) for s in factors] * exponent,
                       start=Fraction(1))
-    # one-term factors enter raised to the exponent: their coefficients
-    # multiply into one scalar, and their poles are kept as (b, m e)
-    c_num = c_den = 1
-    ones, several = [], []
-    for s in factors:
-        if len(s.terms) == 1:
-            ((c, b, m),) = s.terms
-            c_num, c_den = c_num * c.numerator ** exponent, c_den * c.denominator ** exponent
-            if m:
-                ones.append((b.numerator, b.denominator, m * exponent))
-        else:
-            several.append([(c.numerator, c.denominator, b.numerator, b.denominator, m)
-                            for c, b, m in s.terms])
+    terms = [[(c.numerator, c.denominator, b.numerator, b.denominator, m) for c, b, m in s.terms]
+             for s in factors]
     out = []
     for a, n in sorted(total.items()):
-        an, ad = a.numerator, a.denominator
-        if const and an >= 0:
+        if const and a >= 0:
             out.append((const, Fraction(0), 0))
             const = 0
-        num, den, poly = c_num, c_den, [1]
-        for bn, bd, m in ones:
-            p = an * bd - bn * ad
-            if p:
-                q = ad * bd
-                num *= q ** m
-                for _ in range(m):  # poly *= q u + p, to n terms
-                    if len(poly) < n:
-                        poly.append(0)
-                    for i in range(len(poly) - 1, 0, -1):
-                        poly[i] = poly[i] * p + poly[i - 1] * q
-                    poly[0] *= p
-        series = [1] + [0] * (n - 1)
-        if several:
-            series, s_den = reduce(_truncated_product,
-                                   [_laurent_series(terms, an, ad, n) for terms in several])
-            if exponent > 1:
-                series, s_den = _series_power((series, s_den), exponent)
-            den *= s_den
-        if poly != [1]:
-            series, top = _series_quotient(series, poly)
-            den *= top
-        out.extend((Fraction(num * series[j], den), a, n - j)
-                   for j in reversed(range(n)) if series[j])
+        an, ad = a.numerator, a.denominator
+        series = reduce(_truncated_product, [_laurent_series(ts, an, ad, n) for ts in terms])
+        series, den = _series_power(series, exponent) if exponent > 1 else series
+        out.extend((Fraction(series[j], den), a, n - j) for j in reversed(range(n)) if series[j])
     if const:
         out.append((const, Fraction(0), 0))
     return SExpr._trusted(out)

@@ -152,7 +152,7 @@ def recombines_to_one(s: SExpr, factors: list[tuple[Fraction, int]]) -> bool:
     return poly_mul(num, common) == den
 
 
-# --- the product path before one-term factors became a denominator polynomial
+# --- the product path before terms were read as integers
 
 
 def laurent_factor(s: SExpr, a: Fraction, n: int) -> tuple[list[int], int]:

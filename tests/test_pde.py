@@ -315,6 +315,12 @@ class TestValue:
         sol = _solution(variant, ratio, depth)
         assert _bits(sol.value, x, t) == _bits(lambda x, t: sol.at(t)(x)[0], x, t)
 
+    def test_jet_keeps_u_where_only_tau_prime_overflows(self):
+        sol, t = solve_family_a(1), 1e-140  # tau = t^-2 is a float, -2 t^-3 is not
+        u, u_t, u_x, u_xt = sol.at(t)(0.0)
+        assert (u, u_x) == (sol.value(0.0, t), 0.0)
+        assert math.isnan(u_t) and math.isnan(u_xt)
+
 
 class TestFamilyD:
     def test_zero_ratio(self):
