@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Union
 RationalLike = Union[Fraction, int, str]
 
 _NORMAL_MIN = sys.float_info.min  # the smallest positive normal double
+_ZERO = Fraction(0)
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -65,47 +66,60 @@ class GTerm(NamedTuple("GTermFields", [("c", Fraction), ("k", int), ("a", Fracti
 
 
 @dataclass(frozen=True)
-class GExpr:
-    """Canonical finite sum of GTerms.
+class _CanonicalSum:
+    """Canonical finite sum of terms of type `_term`: like terms merged,
+    sorted by the key that `_keyed` pairs with each coefficient, zeros
+    dropped; `_rebuilt` turns (key, c) pairs back into term fields.  The
+    zero is the empty sum.  Instances are immutable and thread-safe."""
 
-    Canonical form is enforced on construction: terms sorted by (a, k),
-    like terms merged, zero coefficients dropped.  The zero function is the
-    empty sum.  Instances are immutable and safe to share across threads.
-    """
-
-    terms: tuple[GTerm, ...] = ()
+    terms: tuple = ()
 
     def __post_init__(self):
-        merged: dict[tuple[Fraction, int], Fraction] = {}
-        for t in self.terms:
-            key = (t.a, t.k)
-            merged[key] = merged.get(key, Fraction(0)) + t.c
-        object.__setattr__(self, "terms", tuple(
-            tuple.__new__(GTerm, (c, k, a)) for (a, k), c in sorted(merged.items()) if c != 0))
+        merged: dict[tuple, Fraction] = {}
+        for key, c in self._keyed(self.terms):
+            merged[key] = merged.get(key, _ZERO) + c
+        term, kept = self._term, self._rebuilt((key, c) for key, c in sorted(merged.items()) if c)
+        self.__dict__["terms"] = tuple([tuple.__new__(term, t) for t in kept])
 
     @classmethod
-    def _trusted(cls, terms: Iterable[tuple[Fraction, int, Fraction]]) -> "GExpr":
-        """GExpr of (c, k, a) triples that are canonical by construction
-        (c nonzero, c and a Fractions, k an int >= 0, keys (a, k) strictly
-        ascending), built without __post_init__'s coercion and re-merge."""
-        out = object.__new__(cls)
-        out.__dict__["terms"] = tuple([tuple.__new__(GTerm, t) for t in terms])
+    def _trusted(cls, terms: Iterable[tuple]):
+        """Sum of field triples already as __post_init__ would leave them (c
+        a nonzero Fraction, each field of its type, keys strictly ascending,
+        a sigma-constant's a = 0), built without its coercion and re-merge."""
+        out, term = object.__new__(cls), cls._term
+        out.__dict__["terms"] = tuple([tuple.__new__(term, t) for t in terms])
         return out
 
-    def __add__(self, other: "GExpr") -> "GExpr":
-        return GExpr(self.terms + other.terms)
+    def __add__(self, other):
+        return type(self)(self.terms + other.terms)
 
-    def __sub__(self, other: "GExpr") -> "GExpr":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "GExpr":
+    def __neg__(self):
         return scale(self, Fraction(-1))
-
-    def __mul__(self, other: "GExpr") -> "GExpr":
-        return multiply(self, other)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+
+@dataclass(frozen=True)
+class GExpr(_CanonicalSum):
+    """Canonical finite sum of GTerms, sorted by (a, k)."""
+
+    terms: tuple[GTerm, ...] = ()
+    _term = GTerm
+
+    @staticmethod
+    def _keyed(terms):
+        return [((t.a, t.k), t.c) for t in terms]
+
+    @staticmethod
+    def _rebuilt(items):
+        return [(c, k, a) for (a, k), c in items]
+
+    def __mul__(self, other: "GExpr") -> "GExpr":
+        return multiply(self, other)
 
     def max_rate(self) -> Fraction:
         """Largest Gaussian rate a; 0 for the zero expression."""
@@ -131,9 +145,10 @@ def gaussian(a: RationalLike, c: RationalLike = 1, k: int = 0) -> GExpr:
     return GExpr((GTerm(c, k, a),))
 
 
-def scale(e: GExpr, c: RationalLike) -> GExpr:
+def scale(e: _CanonicalSum, c: RationalLike) -> _CanonicalSum:
+    """c times e, of e's type; nonzero c keeps e's terms canonical."""
     c = as_rational(c)
-    return GExpr(tuple(GTerm(t.c * c, t.k, t.a) for t in e.terms))
+    return e._trusted([(tc * c, x, y) for tc, x, y in e.terms] if c else ())
 
 
 def multiply(e1: GExpr, e2: GExpr) -> GExpr:
@@ -234,28 +249,6 @@ class LPoly:
 
     def __bool__(self) -> bool:
         return bool(self.coefficients)
-
-    def __add__(self, other: "LPoly") -> "LPoly":
-        return LPoly(self.coefficients + other.coefficients)
-
-    def __mul__(self, other: "LPoly") -> "LPoly":
-        out = []
-        for d1, c1 in self.coefficients:
-            for d2, c2 in other.coefficients:
-                out.append((d1 + d2, c1 * c2))
-        return LPoly(tuple(out))
-
-    def __pow__(self, n: int) -> "LPoly":
-        if not _is_count(n, 0):
-            raise ValueError("LPoly powers must be nonnegative integers")
-        return math.prod([self] * n, start=LPoly(((0, Fraction(1)),)))
-
-    def scale(self, c: RationalLike) -> "LPoly":
-        c = as_rational(c)
-        return LPoly(tuple((d, cc * c) for d, cc in self.coefficients))
-
-    def derivative(self) -> "LPoly":
-        return LPoly(tuple((d - 1, d * c) for d, c in self.coefficients if d >= 1))
 
     def antiderivative(self) -> "LPoly":
         """The antiderivative vanishing at t = 0."""

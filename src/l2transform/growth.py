@@ -107,7 +107,8 @@ def estimate_rate(f: Evaluator, x_samples: Sequence[float]) -> GrowthReport:
 
 def check_bound(f: Evaluator, g: Evaluator,
                 x_samples: Sequence[float]) -> bool:
-    """True iff f(x) <= g(x) * (1 + 1e-12) at every sample."""
+    """True iff f(x) <= g(x) + 1e-12 |g(x)| at every sample, a slack that
+    loosens the bound whatever the sign of g."""
     xs = _check_samples(x_samples)
     fe, ge = _as_callable(f), _as_callable(g)
-    return all(fe(x) <= ge(x) * (1 + 1e-12) for x in xs)
+    return all(fe(x) <= (gx := ge(x)) + 1e-12 * abs(gx) for x in xs)

@@ -585,7 +585,7 @@ def truncation_bound(solution: SeriesSolution, x_max: float,
 
 
 # ---------------------------------------------------------------------------
-# Exact profiles and transform-domain identities
+# Exact profiles
 
 
 def profile_gexpr(solution: SeriesSolution, t0: RationalLike) -> GExpr:
@@ -604,25 +604,3 @@ def profile_gexpr(solution: SeriesSolution, t0: RationalLike) -> GExpr:
         GTerm(term.c * tau ** n, term.k, term.a)
         for n, profile in enumerate(solution.profiles) for term in profile.terms
     ))
-
-
-def _exponential_series_identity(ratio: LPoly, depth: int) -> bool:
-    """Exact check, in rational data only, that the derived transform-domain
-    candidates of families B and C satisfy their ODE through order depth N.
-
-    With F the antiderivative of the ratio f and e_n = (-F)^n / n!, both
-    reduce to e_(n+1)' + f e_n = 0 for n < N, coefficient by coefficient,
-    leaving only the boundary coefficient f e_N = (-1)^N f F^N / N!.  For B
-    the candidate is V = sum_n e_n / 2^(n+1) sigma^-(n+1) of
-    2 sigma V_t + M V = 0, whose sigma^-(n+1) coefficient is that recursion
-    over 2^(n+1); for C it is sum_n e_n w^n, w = (2 sigma - 1)^-1, of
-    H u_hat + (2 sigma - 1) u_hat_t = 0, whose w^n coefficient it is."""
-    anti = ratio.antiderivative()
-    e = [(anti.scale(-1) ** n).scale(Fraction(1, math.factorial(n))) for n in range(depth + 1)]
-    if any(ratio * e[n] + e[n + 1].derivative() for n in range(depth)):
-        return False
-    return ratio * e[depth] == (ratio * anti ** depth).scale(
-        Fraction((-1) ** depth, math.factorial(depth)))
-
-
-family_b_transform_identity = family_c_transform_identity = _exponential_series_identity

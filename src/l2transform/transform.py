@@ -20,24 +20,25 @@ by the power recurrence (ibid., 4.7), O(L**2) per pole for a series of
 length L instead of n - 1 products.
 
 Terms are validated tuples, and the public constructors canonicalize
-whatever they are given.  `SExpr._trusted` and `GExpr._trusted` skip both
-for output that is canonical by construction (Fraction fields, nonzero
-coefficients, keys strictly ascending): `tuple.__new__` packs each triple,
-the one unchecked term path.  Only `_product`, `forward`, `inverse`,
-`delta_s`, `partial_fractions`, and `pde.SeriesSolution`'s profile builder
-and fold use them.
+whatever they are given.  `_trusted`, one classmethod of `SExpr`'s and
+`GExpr`'s common base in `algebra`, skips both for output that is
+canonical by construction (Fraction fields, nonzero coefficients, keys
+strictly ascending): `tuple.__new__` packs each triple, the one unchecked
+term path.  Only `_product`, `forward`, `inverse`, `delta_s`,
+`partial_fractions`, `scale` (so also unary minus) and
+`pde.SeriesSolution`'s profile builder and fold use it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .algebra import GExpr, RationalLike, _is_count, as_rational
+from .algebra import GExpr, RationalLike, _CanonicalSum, _ZERO, _is_count, as_rational
+from .algebra import scale  # noqa: F401  (one scale for both sums)
 from .errors import ImpulseContentError
 
 
@@ -60,48 +61,25 @@ class STerm(NamedTuple("STermFields", [("c", Fraction), ("a", Fraction), ("m", i
 
 
 @dataclass(frozen=True)
-class SExpr:
-    """Canonical transform-domain expression.
-
-    Terms are sorted by (a, m), like terms merged, zeros dropped.  Constant
+class SExpr(_CanonicalSum):
+    """Canonical transform-domain expression, sorted by (a, m).  Constant
     (m = 0) terms have their pole slot normalized to a = 0 so constants
     compare equal regardless of how they were produced.
     """
 
     terms: tuple[STerm, ...] = ()
+    _term = STerm
 
-    def __post_init__(self):
-        merged: dict[tuple[Fraction, int], Fraction] = {}
-        for t in self.terms:
-            key = (Fraction(0) if t.m == 0 else t.a, t.m)
-            merged[key] = merged.get(key, Fraction(0)) + t.c
-        object.__setattr__(self, "terms", tuple(
-            tuple.__new__(STerm, (c, a, m)) for (a, m), c in sorted(merged.items()) if c != 0))
+    @staticmethod
+    def _keyed(terms):
+        return [((t.a if t.m else _ZERO, t.m), t.c) for t in terms]
 
-    @classmethod
-    def _trusted(cls, terms: Iterable[tuple[Fraction, Fraction, int]]) -> "SExpr":
-        """SExpr of (c, a, m) triples that are canonical by construction
-        (c nonzero, c and a Fractions with a = 0 where m = 0, m an int >= 0,
-        keys (a, m) strictly ascending), built without __post_init__'s
-        coercion and re-merge."""
-        out = object.__new__(cls)
-        out.__dict__.update(terms=tuple([tuple.__new__(STerm, t) for t in terms]))
-        return out
-
-    def __add__(self, other: "SExpr") -> "SExpr":
-        return SExpr(self.terms + other.terms)
-
-    def __sub__(self, other: "SExpr") -> "SExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "SExpr":
-        return scale(self, Fraction(-1))
+    @staticmethod
+    def _rebuilt(items):
+        return [(c, a, m) for (a, m), c in items]
 
     def __mul__(self, other: "SExpr") -> "SExpr":
         return multiply(self, other)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def is_proper(self) -> bool:
         """True when every term has m >= 1 (no constant content)."""
@@ -114,11 +92,6 @@ def constant(c: RationalLike) -> SExpr:
 
 def pole(c: RationalLike, a: RationalLike, m: int) -> SExpr:
     return SExpr((STerm(c, a, m),))
-
-
-def scale(s: SExpr, c: RationalLike) -> SExpr:
-    c = as_rational(c)
-    return SExpr(tuple(STerm(t.c * c, t.a, t.m) for t in s.terms))
 
 
 def forward(e: GExpr) -> SExpr:
@@ -263,12 +236,13 @@ def _product(factors: list[SExpr], exponent: int = 1) -> SExpr:
     canonical order, poles ascending and m ascending within each, the
     constant in its (0, 0) slot.
     """
-    total: Counter[Fraction] = Counter()
+    total: dict[Fraction, int] = {}
     for s in factors:
         # terms are sorted by (a, m), so the last one at a has the highest m
-        total.update({t.a: exponent * t.m for t in s.terms if t.m})
-    const = math.prod([next((t.c for t in s.terms if t.m == 0), 0) for s in factors] * exponent,
-                      start=Fraction(1))
+        for a, m in {t.a: t.m for t in s.terms if t.m}.items():
+            total[a] = total.get(a, 0) + exponent * m
+    consts = [t.c for s in factors for t in s.terms if not t.m]  # at most one per factor
+    const = math.prod(consts, start=Fraction(1)) ** exponent if len(consts) == len(factors) else 0
     terms = [[(c.numerator, c.denominator, b.numerator, b.denominator, m) for c, b, m in s.terms]
              for s in factors]
     out = []

@@ -97,6 +97,33 @@ def poly_pow(p: list[Fraction], n: int) -> list[Fraction]:
     return out
 
 
+def exponential_series_identity(ratio: algebra.LPoly, depth: int) -> bool:
+    """Exact check, in rational data only, that the derived transform-domain
+    candidates of families B and C satisfy their ODE through order depth N.
+
+    With F the antiderivative of the ratio f and e_n = (-F)^n / n!, both
+    reduce to e_(n+1)' + f e_n = 0 for n < N, coefficient by coefficient,
+    leaving only the boundary coefficient f e_N = (-1)^N f F^N / N!.  For B
+    the candidate is V = sum_n e_n / 2^(n+1) sigma^-(n+1) of
+    2 sigma V_t + M V = 0, whose sigma^-(n+1) coefficient is that recursion
+    over 2^(n+1); for C it is sum_n e_n w^n, w = (2 sigma - 1)^-1, of
+    H u_hat + (2 sigma - 1) u_hat_t = 0, whose w^n coefficient it is."""
+    def dense(p: algebra.LPoly) -> list[Fraction]:
+        out = [Fraction(0)] * (max((d for d, _ in p.coefficients), default=0) + 1)
+        for d, c in p.coefficients:
+            out[d] = c
+        return out
+
+    f, anti = dense(ratio), dense(ratio.antiderivative())
+    e = [[c / math.factorial(n) for c in poly_pow([-c for c in anti], n)] for n in range(depth + 1)]
+    for n in range(depth):
+        derivative = [d * c for d, c in enumerate(e[n + 1])][1:] or [Fraction(0)]
+        if poly_add(poly_mul(f, e[n]), derivative) != [0]:
+            return False
+    boundary = Fraction((-1) ** depth, math.factorial(depth))
+    return poly_mul(f, e[depth]) == [boundary * c for c in poly_mul(f, poly_pow(anti, depth))]
+
+
 def linear_factor(a: Fraction) -> list[Fraction]:
     """sigma - a."""
     return [-Fraction(a), Fraction(1)]

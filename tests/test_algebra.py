@@ -10,7 +10,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l2transform import GExpr, GTerm, delta_x, evaluate, limit_at_zero
@@ -203,6 +203,11 @@ class TestTermType:
         s = tf.SExpr((tf.STerm(1, 1, 1),))
         assert g != s and s != g
         assert GExpr._trusted([(F(1), 1, F(1))]) != tf.SExpr._trusted([(F(1), F(1), 1)])
+        # both share one base, whose operations keep each operand's type
+        assert isinstance(g, algebra._CanonicalSum) and isinstance(s, algebra._CanonicalSum)
+        assert GExpr() != tf.SExpr()
+        for op in (lambda e: e + e, lambda e: -e, lambda e: e - e, lambda e: algebra.scale(e, 2)):
+            assert type(op(g)) is GExpr and type(op(s)) is tf.SExpr and op(g) != op(s)
 
     @pytest.mark.parametrize("cls, count", [(GTerm, "k"), (tf.STerm, "m")])
     def test_make_and_replace_validate(self, cls, count):
@@ -219,6 +224,29 @@ class TestTermType:
     def test_pickle_and_deepcopy_round_trip(self, term):
         for copied in (pickle.loads(pickle.dumps(term)), copy.deepcopy(term)):
             assert copied == term and type(copied) is type(term)
+
+
+class TestCanonicalSum:
+    G = GExpr((GTerm(F(1, 2), 1, -1),))
+    S = tf.SExpr((tf.STerm(-3, 5, 0), tf.STerm(F(1, 2), F(-1, 3), 2)))
+
+    def test_repr_is_the_dataclass_repr(self):
+        assert repr(self.G) == "GExpr(terms=(GTerm(c=Fraction(1, 2), k=1, a=Fraction(-1, 1)),))"
+        assert repr(self.S) == ("SExpr(terms=(STerm(c=Fraction(1, 2), a=Fraction(-1, 3), m=2), "
+                                "STerm(c=Fraction(-3, 1), a=Fraction(0, 1), m=0)))")
+
+    @pytest.mark.parametrize("e", [G, S, GExpr(), tf.SExpr()])
+    def test_hash_is_the_dataclass_hash(self, e):
+        assert hash(e) == hash((e.terms,))
+        assert hash(type(e)(e.terms)) == hash(e)
+
+    @pytest.mark.parametrize("e", [G, S])
+    def test_instances_are_frozen(self, e):
+        with pytest.raises(AttributeError):
+            e.terms = ()
+        with pytest.raises(AttributeError):
+            e.extra = 1
+        assert e.terms and not hasattr(e, "extra")
 
 
 class TestArithmetic:
@@ -251,6 +279,36 @@ gterm_strategy = st.builds(
 gexpr_strategy = st.lists(gterm_strategy, min_size=0, max_size=5).map(
     lambda ts: GExpr(tuple(ts))
 )
+
+
+sexpr_strategy = st.lists(
+    st.builds(tf.STerm, c=st.fractions(min_value=-4, max_value=4, max_denominator=6),
+              a=st.fractions(min_value=-2, max_value=1, max_denominator=6),
+              m=st.integers(min_value=0, max_value=3)),  # m = 0: a sigma-constant, any a
+    min_size=0, max_size=5).map(lambda ts: tf.SExpr(tuple(ts)))
+scalars = st.one_of(st.sampled_from([0, 1, -1]),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=9))
+
+
+def _structure(e):
+    return type(e), [(t, type(t), tuple(map(type, t))) for t in e.terms]
+
+
+@given(st.one_of(gexpr_strategy, sexpr_strategy), scalars)
+@example(GExpr(), F(3))
+@example(tf.SExpr(), 0)
+@example(algebra.gaussian(1, c=2, k=1), 0)
+@example(tf.constant(F(-2, 3)) + tf.pole(1, -1, 2), -1)
+def test_scale_is_the_public_rebuild_property(e, c):
+    # scale packs its terms unchecked; the public constructors re-merge them
+    public = type(e)(tuple(t._replace(c=t.c * F(c)) for t in e.terms))
+    assert _structure(algebra.scale(e, c)) == _structure(public)
+    assert _structure(-e) == _structure(type(e)(tuple(t._replace(c=-t.c) for t in e.terms)))
+
+
+@given(st.one_of(gexpr_strategy, sexpr_strategy))
+def test_difference_with_itself_is_the_empty_sum_property(e):
+    assert (e - e).terms == () and not e - e and e - e == type(e)()
 
 
 @given(gexpr_strategy)

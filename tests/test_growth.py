@@ -128,6 +128,20 @@ class TestCheckBound:
     def test_equality_tolerated(self):
         assert check_bound(EXP_HALF, EXP_HALF, self.XS) is True
 
+    @pytest.mark.parametrize("f", [
+        algebra.constant(-1),
+        algebra.gaussian(-1, c=-1),
+        algebra.constant(1) - algebra.monomial(F(1, 4), 1),  # changes sign at x = 2
+        lambda x: math.sin(3 * x) * math.exp(x * x),
+    ])
+    def test_equality_tolerated_for_every_sign(self, f):
+        assert check_bound(f, f, self.XS) is True
+
+    def test_negative_bound_slack_is_relative(self):
+        minus_one = algebra.constant(-1)
+        assert check_bound(lambda x: -1 + 0.5e-12, minus_one, self.XS) is True
+        assert check_bound(lambda x: -1 + 2e-12, minus_one, self.XS) is False
+
 
 class TestDefinitionFidelity:
     def test_exp_squared_limit_in_log_domain(self):
